@@ -54,7 +54,6 @@ from .model import (
     validate_profile,
 )
 from .simulator import (
-    MapStore,
     ShuffleMessage,
     SimulationReport,
     build_shuffle,

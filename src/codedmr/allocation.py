@@ -30,43 +30,27 @@ SubbatchKey = tuple[int, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """First-step batch fractions plus the sub-batch fraction table.
-
-    ``subbatch`` maps (owner, subset) to the fraction of all files in that
-    sub-batch; only nonzero entries are stored. It is None when the plan was
-    built without the (potentially 2^(K-1)-sized) table.
+    """First-step batch fractions l, the LowCL count r and load xi, and the
+    surplus ratios P. The sub-batch table follows from (l, P) through
+    ``subbatch_fractions``.
     """
 
     l: tuple[Fraction, ...]
     r: int
     xi: Fraction
     P: tuple[Fraction, ...]
-    subbatch: Mapping[SubbatchKey, Fraction] | None = None
 
     @property
     def K(self) -> int:
         return len(self.l)
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "l": [format_rational(v) for v in self.l],
             "r": self.r,
             "xi": format_rational(self.xi),
             "P": [format_rational(v) for v in self.P],
         }
-        if self.subbatch is not None:
-            data["subbatch"] = [
-                {
-                    "owner": owner,
-                    "subset": list(psi),
-                    "fraction": format_rational(frac),
-                }
-                for (owner, psi), frac in sorted(
-                    self.subbatch.items(),
-                    key=lambda item: (item[0][0], len(item[0][1]), item[0][1]),
-                )
-            ]
-        return data
 
 
 def first_step(profile: ComputationProfile) -> tuple[tuple[Fraction, ...], int, Fraction]:
@@ -100,7 +84,6 @@ def surplus_ratios(l: tuple[Fraction, ...], m: tuple[Fraction, ...]) -> tuple[Fr
 def subbatch_fractions(
     l: tuple[Fraction, ...],
     P: tuple[Fraction, ...],
-    owner: int | None = None,
 ) -> dict[SubbatchKey, Fraction]:
     """All nonzero sub-batch fractions l_k^Psi, keyed by (owner, subset).
 
@@ -110,7 +93,6 @@ def subbatch_fractions(
     table stays small when few nodes have surplus capacity.
     """
     K = len(l)
-    owners = range(1, K + 1) if owner is None else [owner]
     table: dict[SubbatchKey, Fraction] = {}
 
     def expand(k: int, others: list[int], idx: int, psi: list[int], frac: Fraction):
@@ -126,7 +108,7 @@ def subbatch_fractions(
         if p < 1:
             expand(k, others, idx + 1, psi, frac * (1 - p))
 
-    for k in owners:
+    for k in range(1, K + 1):
         if l[k - 1] == 0:
             continue
         others = [i for i in range(1, K + 1) if i != k]
@@ -134,29 +116,27 @@ def subbatch_fractions(
     return table
 
 
-def build_plan(profile: ComputationProfile, include_subbatches: bool = True) -> AllocationPlan:
+def build_plan(profile: ComputationProfile) -> AllocationPlan:
     """Run both allocation steps for a validated profile."""
     l, r, xi = first_step(profile)
-    P = surplus_ratios(l, profile.m)
-    table = subbatch_fractions(l, P) if include_subbatches else None
-    return AllocationPlan(l=l, r=r, xi=xi, P=P, subbatch=table)
-
-
-def _subbatch_table(plan: AllocationPlan) -> Mapping[SubbatchKey, Fraction]:
-    if plan.subbatch is not None:
-        return plan.subbatch
-    return subbatch_fractions(plan.l, plan.P)
+    return AllocationPlan(l=l, r=r, xi=xi, P=surplus_ratios(l, profile.m))
 
 
 def minimal_file_count(plan: AllocationPlan, cap: int | None = DEFAULT_FILE_COUNT_CAP) -> int:
     """Least N for which every sub-batch holds an integer number of files.
 
     This is the LCM of the lowest-terms denominators of all nonzero sub-batch
-    fractions. Raises FileCountOverflowError (carrying the exact value) when
+    fractions, found in O(K) without the table. For a prime p dividing
+    den(P_i), P_i and 1 - P_i both have p-adic valuation -v_p(den P_i); for
+    any other p, neither is negative and at most one is positive. So the
+    largest denominator over owner k's subsets is den(l_k / prod_{i != k}
+    den P_i). Raises FileCountOverflowError (carrying the exact value) when
     the result exceeds ``cap``; pass cap=None to disable the guard.
     """
-    table = _subbatch_table(plan)
-    value = math.lcm(*(frac.denominator for frac in table.values()))
+    dens = [p.denominator for p in plan.P]
+    total = math.prod(dens)
+    value = math.lcm(*((lk * d / total).denominator
+                       for lk, d in zip(plan.l, dens) if lk != 0))
     if cap is not None and value > cap:
         raise FileCountOverflowError(
             f"minimal file count {format_factored(value)} exceeds cap {cap}",
@@ -213,12 +193,14 @@ def canonical_subbatch_order(keys) -> list[SubbatchKey]:
 
 @dataclass(frozen=True)
 class MaterializedInstance:
-    """A concrete instance: real file and function index sets, plus the seed.
+    """A concrete instance: file and function index ranges, plus the seed.
 
     File and function indices are 1-based. Each file belongs to exactly one
-    (owner, subset) sub-batch; node k's file set is its own batch plus every
-    sub-batch whose subset contains k. Sub-batches occupy consecutive index
-    ranges in canonical order, so identical inputs materialize identically.
+    (owner, subset) sub-batch. Sub-batches occupy consecutive index ranges in
+    canonical order, so owner k's batch is the contiguous range
+    ``batch_of[k]`` and identical inputs materialize identically. Node k maps
+    ``files_of[k]``: its own batch plus every sub-batch whose subset
+    contains k.
     """
 
     N: int
@@ -226,19 +208,13 @@ class MaterializedInstance:
     T: int
     seed: int
     subbatch_files: Mapping[SubbatchKey, range]
-    files_of: Mapping[int, frozenset[int]]
+    batch_of: Mapping[int, range]
+    files_of: Mapping[int, tuple[range, ...]]
     functions_of: Mapping[int, range]
 
     @property
     def K(self) -> int:
-        return len(self.files_of)
-
-    def owner_of(self, n: int) -> SubbatchKey:
-        """The (owner, subset) sub-batch containing file n."""
-        for key, rng in self.subbatch_files.items():
-            if n in rng:
-                return key
-        raise KeyError(f"file index {n} not in any sub-batch")
+        return len(self.functions_of)
 
     def to_json(self) -> dict:
         return {
@@ -298,28 +274,32 @@ def materialize(
     if T <= 0:
         raise ValueError("T must be a positive bit width")
 
-    table = _subbatch_table(plan)
+    # every nonzero entry holds at least one file, so the cap bounds the table
+    table = subbatch_fractions(plan.l, plan.P)
     K = plan.K
     subbatch_files: dict[SubbatchKey, range] = {}
     next_file = 1
     for key in canonical_subbatch_order(table):
         count = table[key] * N
         assert count.denominator == 1, "divisibility guaranteed by the LCM check"
-        rng = range(next_file, next_file + int(count))
-        subbatch_files[key] = rng
+        subbatch_files[key] = range(next_file, next_file + int(count))
         next_file += int(count)
     assert next_file == N + 1, "sub-batches partition the file set"
 
+    batch_of = {}
     files_of = {}
+    next_file = 1
     for k in range(1, K + 1):
-        mine: set[int] = set()
-        for (owner, psi), rng in subbatch_files.items():
-            if owner == k or k in psi:
-                mine.update(rng)
-        files_of[k] = frozenset(mine)
+        size = plan.l[k - 1] * N
+        assert size.denominator == 1, "a batch is a union of sub-batches"
+        batch_of[k] = range(next_file, next_file + int(size))
+        next_file += int(size)
+        shared = [rng for (_, psi), rng in subbatch_files.items() if k in psi]
+        files_of[k] = (batch_of[k], *shared)
         # coverage identity: node k maps m_k*N = (l_k + P_k*(1-l_k))*N files
         expected = (plan.l[k - 1] + plan.P[k - 1] * (1 - plan.l[k - 1])) * N
-        assert len(mine) == expected, "sub-batch table violates node coverage"
+        assert sum(map(len, files_of[k])) == expected, \
+            "sub-batch table violates node coverage"
 
     functions_of = {}
     next_fn = 1
@@ -336,6 +316,7 @@ def materialize(
         T=T,
         seed=seed,
         subbatch_files=subbatch_files,
+        batch_of=batch_of,
         files_of=files_of,
         functions_of=functions_of,
     )

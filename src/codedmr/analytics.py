@@ -206,7 +206,7 @@ def gap_to_homogeneous(profile: ComputationProfile) -> tuple[Fraction, str]:
     homogeneous optimum: computation-aware below mean load 0.55, shuffle-aware
     at or above it.
     """
-    plan = build_plan(profile, include_subbatches=False)
+    plan = build_plan(profile)
     mbar = profile.mean
     optimal = homogeneous_optimal(profile.K, mbar)
     if mbar < REGIME_SPLIT:

@@ -37,10 +37,22 @@ EXIT_INTERNAL = 3
 LARGE_COUNT_DISPLAY = 10 ** 9
 
 
+def _precision(text: str) -> int:
+    """argparse type for --precision: a non-negative digit count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a profile/assignment JSON file")
-    common.add_argument("--precision", type=int, default=6,
+    common.add_argument("--precision", type=_precision, default=6,
                         help="decimal digits in rendered values (default 6)")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit JSON output")
@@ -145,9 +157,13 @@ def _file_count_fields(plan) -> dict:
 def cmd_plan(args) -> int:
     profile, custom, _ = _require_config(args)
     plan = allocation.build_plan(profile)
+    table = allocation.subbatch_fractions(plan.l, plan.P)
+    subbatch = [{"owner": owner, "subset": list(psi),
+                 "fraction": format_rational(table[(owner, psi)])}
+                for owner, psi in allocation.canonical_subbatch_order(table)]
     data = {
         "profile": profile.to_json(),
-        "plan": plan.to_json(),
+        "plan": {**plan.to_json(), "subbatch": subbatch},
         **_file_count_fields(plan),
         "minimal_functions": {},
     }
@@ -168,7 +184,7 @@ def cmd_plan(args) -> int:
 
 def cmd_load(args) -> int:
     profile, custom, declared = _require_config(args)
-    plan = allocation.build_plan(profile, include_subbatches=False)
+    plan = allocation.build_plan(profile)
     strategy, w = _resolve_assignment(args, profile, plan, custom, declared)
     report = analytics.build_load_report(profile, plan, w)
     data = {
@@ -244,7 +260,7 @@ def cmd_sweep(args) -> int:
             row["note"] = f"skipped: {exc}"
             rows.append(row)
             continue
-        plan = allocation.build_plan(profile, include_subbatches=False)
+        plan = allocation.build_plan(profile)
         load = analytics.achievable_load(
             profile, plan, fa.even_assignment(K)).total
         row["L_even"] = format_decimal(load, precision)
@@ -275,7 +291,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bound(args) -> int:
     profile, custom, declared = _require_config(args)
-    plan = allocation.build_plan(profile, include_subbatches=False)
+    plan = allocation.build_plan(profile)
     strategy, w = _resolve_assignment(args, profile, plan, custom, declared)
     bound, witness = analytics.lower_bound(profile, w)
     data = {
@@ -331,7 +347,7 @@ def _table1_data(precision: int) -> dict:
     columns = {}
     for name, profile in (("m1", presets.profile_k12_m1()),
                           ("m2", presets.profile_k12_m2())):
-        plan = allocation.build_plan(profile, include_subbatches=False)
+        plan = allocation.build_plan(profile)
         even = analytics.achievable_load(
             profile, plan, fa.even_assignment(profile.K)).total
         columns[name] = {

@@ -242,9 +242,13 @@ def config_from_json(data: dict) -> tuple[ComputationProfile, FunctionAssignment
     if strategy is not None and strategy not in ("even", "computation", "shuffle", "custom"):
         raise ValueError(f"unknown strategy {strategy!r}")
     assignment = None
-    if data.get("w") is not None:
+    w_raw = data.get("w")
+    if w_raw is not None:
+        if not isinstance(w_raw, list) or len(w_raw) != profile.K:
+            raise ValueError(
+                f'config key "w" must list {profile.K} values, one per entry of "m"')
         w_sorted = reorder_like_profile(
-            [parse_rational(v) for v in data["w"]], profile)
+            [parse_rational(v) for v in w_raw], profile)
         assignment = validate_assignment(w_sorted, profile.K)
     return profile, assignment, strategy
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .allocation import AllocationPlan, MaterializedInstance
@@ -80,43 +81,14 @@ def unpack_ivs(data: bytes, count: int, T: int) -> list[int]:
     return values
 
 
-class MapStore:
-    """One node's Map-phase output: every IV of every file it mapped.
+def run_map(instance: MaterializedInstance) -> dict[int, set[int]]:
+    """Each node maps its allocated files, yielding Q IVs per file.
 
-    Values are not stored; they are the deterministic function ``iv_value``
-    of (q, n, seed), so the store only tracks which files the node holds.
+    IVs are not stored: they are the deterministic function ``iv_value`` of
+    (seed, q, n, T), so a node's Map output is just the set of files it holds.
     """
-
-    def __init__(self, node: int, files: Iterable[int], Q: int, T: int, seed: int):
-        self.node = node
-        self.files = set(files)
-        self.Q = Q
-        self.T = T
-        self.seed = seed
-
-    def has_file(self, n: int) -> bool:
-        return n in self.files
-
-    def iv(self, q: int, n: int) -> int:
-        if n not in self.files:
-            raise KeyError(f"node {self.node} did not map file {n}")
-        return iv_value(self.seed, q, n, self.T)
-
-    def size(self) -> int:
-        """Number of IVs held: Q per mapped file."""
-        return self.Q * len(self.files)
-
-    def withhold_files(self, files: Iterable[int]) -> None:
-        """Remove files from the store (for fault-injection tests)."""
-        self.files -= set(files)
-
-
-def run_map(instance: MaterializedInstance) -> dict[int, MapStore]:
-    """Each node maps its allocated files, yielding Q IVs per file."""
-    return {
-        k: MapStore(k, files, instance.Q, instance.T, instance.seed)
-        for k, files in instance.files_of.items()
-    }
+    return {k: set(chain.from_iterable(ranges))
+            for k, ranges in instance.files_of.items()}
 
 
 @dataclass(frozen=True)
@@ -170,8 +142,7 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
     seed = instance.seed
     r = plan.r
     messages: list[ShuffleMessage] = []
-
-    batch_of = _owner_batches(instance)
+    batch_of = instance.batch_of
 
     # unicasts to LowCL nodes
     for i in range(1, r + 1):
@@ -217,23 +188,6 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
     return messages
 
 
-def _owner_batches(instance: MaterializedInstance) -> dict[int, range]:
-    """Each owner's full compulsory batch; contiguous by construction."""
-    spans: dict[int, list[range]] = {}
-    for (owner, _), rng in instance.subbatch_files.items():
-        spans.setdefault(owner, []).append(rng)
-    batches: dict[int, range] = {}
-    for k in range(1, instance.K + 1):
-        parts = sorted(spans.get(k, []), key=lambda rng: rng.start)
-        if not parts:
-            batches[k] = range(0)
-            continue
-        for prev, nxt in zip(parts, parts[1:]):
-            assert prev.stop == nxt.start, "owner sub-batches must tile"
-        batches[k] = range(parts[0].start, parts[-1].stop)
-    return batches
-
-
 def _nonempty_subsets(items: Sequence[int]):
     for mask in range(1, 1 << len(items)):
         yield tuple(items[i] for i in range(len(items)) if mask >> i & 1)
@@ -275,7 +229,7 @@ class SimulationReport:
 def run_reduce(
     instance: MaterializedInstance,
     plan: AllocationPlan,
-    stores: Mapping[int, MapStore],
+    stores: Mapping[int, set[int]],
     messages: Sequence[ShuffleMessage],
     strict: bool = True,
     log_messages: bool = False,
@@ -329,7 +283,7 @@ def run_reduce(
                         continue
                     store = stores[i]
                     missing = next(
-                        (n for n in other.files if not store.has_file(n)), None)
+                        (n for n in other.files if n not in store), None)
                     if missing is not None:
                         fail(i, other.functions.start, missing,
                              "side-information file absent from Map store")
@@ -352,10 +306,11 @@ def run_reduce(
                 delivered[i].add(key(q, n))
 
     for i in range(1, K + 1):
-        needed_files = N - len(instance.files_of[i])
+        needed_files = N - sum(map(len, instance.files_of[i]))
         expected = len(instance.functions_of[i]) * needed_files
         if len(delivered[i]) != expected:
-            outside = sorted(set(range(1, N + 1)) - instance.files_of[i])
+            outside = sorted(set(range(1, N + 1))
+                             - set(chain.from_iterable(instance.files_of[i])))
             first = next(
                 ((q, n) for q in instance.functions_of[i] for n in outside
                  if key(q, n) not in delivered[i]),

@@ -13,7 +13,12 @@ from fractions import Fraction
 import pytest
 
 from codedmr import cli
-from codedmr.allocation import build_plan, materialize, minimal_file_count
+from codedmr.allocation import (
+    build_plan,
+    materialize,
+    minimal_file_count,
+    subbatch_fractions,
+)
 from codedmr.analytics import (
     HOMOGENEOUS_GAP_BOUND,
     LOWER_GAP_BOUND,
@@ -68,7 +73,7 @@ def test_criterion_1_worked_example_exactness():
         assert load.total == Fraction(4171, 7260)
         assert load.lowcl == Fraction(1, 10)
         assert load.highcl == Fraction(689, 1452)
-        assert plan.subbatch[(1, (2, 3))] == Fraction(3, 2662)
+        assert subbatch_fractions(plan.l, plan.P)[(1, (2, 3))] == Fraction(3, 2662)
 
 
 def test_criterion_2_simulation_matches_formula():
@@ -90,7 +95,7 @@ def test_criterion_3_benchmark_loads_round_to_published_digits():
             "m2": ("0.397", "0.255", "0.175"),
         }
         for name, profile in (("m1", K12_M1), ("m2", K12_M2)):
-            plan = build_plan(profile, include_subbatches=False)
+            plan = build_plan(profile)
             even = achievable_load(profile, plan, even_assignment(12)).total
             comp = load_computation_aware(profile, plan)
             shuf = load_shuffle_aware(profile, plan)
@@ -117,7 +122,7 @@ def test_criterion_5_homogeneous_reductions():
     with criterion(5, "homogeneous closed forms and two-factor gap", 5.0):
         for K in range(2, 13):
             p = validate_profile([Fraction(1, K)] * K)
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             assert achievable_load(p, plan, even_assignment(K)).total == \
                 Fraction(K - 1, K)
             assert homogeneous_even_load(K, Fraction(1, K)) == Fraction(K - 1, K)
@@ -134,7 +139,7 @@ def test_criterion_6_bound_ordering(profile_pool):
     with criterion(6, "cut-set bound never exceeds achievable on 1000 profiles", 60.0):
         rng = random.Random(606)
         for profile in profile_pool:
-            plan = build_plan(profile, include_subbatches=False)
+            plan = build_plan(profile)
             assignments = [even_assignment(profile.K),
                            computation_aware(profile),
                            random_assignment(rng, profile.K)]
@@ -156,7 +161,7 @@ def test_criterion_7_gap_constants(profile_pool):
             ratio, regime = gap_to_homogeneous(profile)
             regimes.add(regime)
             assert ratio < HOMOGENEOUS_GAP_BOUND
-            plan = build_plan(profile, include_subbatches=False)
+            plan = build_plan(profile)
             w = computation_aware(profile)
             la = achievable_load(profile, plan, w).total
             bound, _ = lower_bound(profile, w)
@@ -184,7 +189,7 @@ def test_criterion_9_closed_form_specializations():
         shuffle_checked = 0
         for _ in range(500):
             profile = random_profile(rng)
-            plan = build_plan(profile, include_subbatches=False)
+            plan = build_plan(profile)
             assert load_computation_aware(profile, plan) == achievable_load(
                 profile, plan, computation_aware(profile)).total
             if profile.total > 1:
@@ -205,7 +210,7 @@ def test_criterion_10_negative_decode():
                      if m.kind == CODED and len(m.recipients) >= 2)
         victim = coded.components[0].recipient
         interfering = coded.components[1]
-        stores[victim].withhold_files(interfering.files)
+        stores[victim] -= set(interfering.files)
         with pytest.raises(DecodeFailureError) as err:
             run_reduce(instance, plan, stores, messages)
         assert err.value.node == victim

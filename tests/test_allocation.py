@@ -1,7 +1,12 @@
+import math
 import random
+import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from codedmr.allocation import (
     build_plan,
@@ -25,6 +30,19 @@ from conftest import random_profile
 
 WORKED = validate_profile(["1/5", "1/3", "1/3", "1/2"])
 HETERO3 = validate_profile(["3/5", "2/3", "11/15"])
+
+
+@st.composite
+def tied_loads(draw):
+    """K in 2..8 loads drawn from at most K distinct values, so ties are common."""
+    K = draw(st.integers(2, 8))
+    values = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60),
+                     max_denominator=60),
+        min_size=1, max_size=K))
+    m = draw(st.lists(st.sampled_from(values), min_size=K, max_size=K))
+    assume(sum(m) >= 1)
+    return m
 
 
 class TestFirstStep:
@@ -65,25 +83,28 @@ class TestSurplusRatios:
             Fraction(2, 5), Fraction(1, 2), Fraction(3, 5))
 
 
+def table_of(profile):
+    plan = build_plan(profile)
+    return subbatch_fractions(plan.l, plan.P)
+
+
 class TestSubbatchFractions:
     def test_worked_example_cell(self):
-        plan = build_plan(WORKED)
-        assert plan.subbatch[(1, (2, 3))] == Fraction(3, 2662)
+        assert table_of(WORKED)[(1, (2, 3))] == Fraction(3, 2662)
 
     def test_subsets_with_lowcl_member_are_absent(self):
-        plan = build_plan(WORKED)
-        assert all(1 not in psi for (_, psi) in plan.subbatch)
+        assert all(1 not in psi for (_, psi) in table_of(WORKED))
 
     def test_direct_product(self):
-        plan = build_plan(HETERO3)
         # owner 2, empty subset: l_2 (1-P_1)(1-P_3) = (1/3)(3/5)(2/5)
-        assert plan.subbatch[(2, ())] == Fraction(2, 25)
+        assert table_of(HETERO3)[(2, ())] == Fraction(2, 25)
 
     def test_per_owner_sums(self):
         plan = build_plan(WORKED)
+        table = subbatch_fractions(plan.l, plan.P)
         for k in range(1, 5):
             total = sum(
-                (f for (o, _), f in plan.subbatch.items() if o == k), Fraction(0))
+                (f for (o, _), f in table.items() if o == k), Fraction(0))
             assert total == plan.l[k - 1]
 
 
@@ -99,6 +120,26 @@ class TestMinimalFileCount:
     def test_k12_mixed(self):
         p = validate_profile([Fraction(1, 6)] * 6 + [Fraction(1, 3)] * 6)
         assert minimal_file_count(build_plan(p), cap=None) == 12 * 11 ** 11
+
+    @settings(max_examples=300, deadline=None)
+    @example(["1/5", "1/3", "1/3", "1/2"])  # r = 1: P_1 = 0
+    @example(["1/6", "1/6", "1/2", "1/2"])  # r = 2, tied loads
+    @given(tied_loads())
+    def test_closed_form_matches_enumerated_lcm(self, m):
+        profile = validate_profile(m)
+        plan = build_plan(profile)
+        event("r > 0" if plan.r else "r = 0")
+        table = subbatch_fractions(plan.l, plan.P)
+        expected = math.lcm(*(frac.denominator for frac in table.values()))
+        assert minimal_file_count(plan, cap=None) == expected
+
+    def test_closed_form_at_k64_is_fast(self):
+        p = validate_profile([Fraction(k, 2 * k + 1) for k in range(1, 65)])
+        plan = build_plan(p)
+        start = time.perf_counter()
+        value = minimal_file_count(plan, cap=None)
+        assert time.perf_counter() - start < 1.0
+        assert all((lk * value).denominator == 1 for lk in plan.l)
 
     def test_overflow_guard_carries_value(self):
         with pytest.raises(FileCountOverflowError) as err:
@@ -122,17 +163,20 @@ class TestMaterialize:
         p = validate_profile(["1/2", "1/2"])
         plan = build_plan(p)
         inst = materialize(plan, validate_assignment(["1/2", "1/2"], 2), N=2, Q=2)
-        assert inst.files_of[1] == frozenset({1})
-        assert inst.files_of[2] == frozenset({2})
+        assert inst.files_of[1] == (range(1, 2),)
+        assert inst.files_of[2] == (range(2, 3),)
+        assert inst.batch_of == {1: range(1, 2), 2: range(2, 3)}
 
     def test_worked_example_sizes(self):
         plan = build_plan(WORKED)
         w = validate_assignment(["1/8", "1/4", "1/6", "11/24"], 4)
         N = minimal_file_count(plan)
         inst = materialize(plan, w, N=N, Q=24)
-        assert len(inst.files_of[1]) == N // 5
+        assert inst.files_of[1] == (inst.batch_of[1],)
+        assert len(inst.batch_of[1]) == N // 5
         for k in range(1, 5):
-            assert len(inst.files_of[k]) == WORKED.m[k - 1] * N
+            files = set(chain.from_iterable(inst.files_of[k]))
+            assert len(files) == sum(map(len, inst.files_of[k])) == WORKED.m[k - 1] * N
         assert len(inst.subbatch_files[(1, (2, 3))]) == Fraction(3, 2662) * N
         assert [len(inst.functions_of[k]) for k in range(1, 5)] == [3, 6, 4, 11]
 
@@ -151,6 +195,9 @@ class TestMaterialize:
         assert keys == canonical_subbatch_order(keys)
         starts = [inst.subbatch_files[k].start for k in keys]
         assert starts == sorted(starts)
+        for k in range(1, 5):
+            own = [rng for (owner, _), rng in inst.subbatch_files.items() if owner == k]
+            assert inst.batch_of[k] == range(own[0].start, own[-1].stop)
 
     def test_indivisible_names_minimal_values(self):
         plan = build_plan(HETERO3)
@@ -173,12 +220,8 @@ class TestMaterialize:
         plan = build_plan(HETERO3)
         w = validate_assignment(["3/10", "1/3", "11/30"], 3)
         inst = materialize(plan, w, N=150, Q=30)
-        assert sum(len(rng) for rng in inst.subbatch_files.values()) == 150
-        for n in (1, 42, 75, 150):
-            owner, psi = inst.owner_of(n)
-            assert n in inst.subbatch_files[(owner, psi)]
-        with pytest.raises(KeyError):
-            inst.owner_of(151)
+        files = sorted(chain.from_iterable(inst.subbatch_files.values()))
+        assert files == list(range(1, 151))
 
 
 class TestPlanProperties:

@@ -47,7 +47,7 @@ def brute_lower_bound(profile, w):
 
 class TestSOrdering:
     def test_worked_example_matches_direct_ratios(self):
-        plan = build_plan(WORKED, include_subbatches=False)
+        plan = build_plan(WORKED)
         ratios = {
             k: WORKED_W.w[k - 1] * (1 - plan.P[k - 1]) / plan.P[k - 1]
             for k in (2, 3, 4)
@@ -64,7 +64,7 @@ class TestSOrdering:
             p = random_profile(rng)
             if p.total == 1:
                 continue
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             w = shuffle_aware(p, plan)
             assert s_ordering(plan, w) == tuple(range(plan.r + 1, p.K + 1))
 
@@ -72,7 +72,7 @@ class TestSOrdering:
         rng = random.Random(32)
         for _ in range(100):
             p = random_profile(rng)
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             if plan.r == p.K:
                 continue
             s = s_ordering(plan, random_assignment(rng, p.K))
@@ -81,7 +81,7 @@ class TestSOrdering:
 
 class TestAchievableLoad:
     def test_worked_example_exact(self):
-        plan = build_plan(WORKED, include_subbatches=False)
+        plan = build_plan(WORKED)
         load = achievable_load(WORKED, plan, WORKED_W)
         assert load.lowcl == Fraction(1, 10)
         assert load.highcl == Fraction(689, 1452)
@@ -91,7 +91,7 @@ class TestAchievableLoad:
     @pytest.mark.parametrize("K", range(2, 13))
     def test_no_surplus_homogeneous(self, K):
         p = validate_profile([Fraction(1, K)] * K)
-        plan = build_plan(p, include_subbatches=False)
+        plan = build_plan(p)
         load = achievable_load(p, plan, even_assignment(K))
         assert load.total == Fraction(K - 1, K)
 
@@ -100,7 +100,7 @@ class TestAchievableLoad:
         for _ in range(100):
             p = random_profile(rng, kmax=6)
             w = random_assignment(rng, p.K)
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             base = achievable_load(p, plan, w).total
             order = list(range(p.K))
             rng.shuffle(order)
@@ -108,14 +108,14 @@ class TestAchievableLoad:
             w2_sorted = [w.w[i] for i in order]
             w2 = FunctionAssignment(
                 w=tuple(w2_sorted[lbl - 1] for lbl in p2.node_labels))
-            plan2 = build_plan(p2, include_subbatches=False)
+            plan2 = build_plan(p2)
             assert achievable_load(p2, plan2, w2).total == base
 
     def test_tied_nodes_any_order(self):
         # nodes 1..3 share m=1/3, hence share P; swapping their w entries
         # permutes equal merit values and must not move the total
         p = validate_profile(["1/3", "1/3", "1/3", "1/2"])
-        plan = build_plan(p, include_subbatches=False)
+        plan = build_plan(p)
         w1 = validate_assignment(["1/6", "1/3", "1/4", "1/4"], 4)
         w2 = validate_assignment(["1/3", "1/6", "1/4", "1/4"], 4)
         assert achievable_load(p, plan, w1).total == achievable_load(p, plan, w2).total
@@ -127,7 +127,7 @@ class TestSpecializations:
         checked_shuffle = 0
         for _ in range(500):
             p = random_profile(rng)
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             direct = load_computation_aware(p, plan)
             general = achievable_load(p, plan, computation_aware(p)).total
             assert direct == general
@@ -141,11 +141,11 @@ class TestSpecializations:
     def test_shuffle_requires_redundancy(self):
         p = validate_profile(["1/2", "1/2"])
         with pytest.raises(RequiresRedundancyError):
-            load_shuffle_aware(p, build_plan(p, include_subbatches=False))
+            load_shuffle_aware(p, build_plan(p))
 
     def test_homogeneous_computation_equals_even(self):
         p = validate_profile(["1/2"] * 4)
-        plan = build_plan(p, include_subbatches=False)
+        plan = build_plan(p)
         assert load_computation_aware(p, plan) == achievable_load(
             p, plan, even_assignment(4)).total
 
@@ -159,7 +159,7 @@ class TestHomogeneousEvenLoad:
         value = homogeneous_even_load(2, Fraction(3, 4))
         assert value == Fraction(1, 4)
         p = validate_profile(["3/4", "3/4"])
-        plan = build_plan(p, include_subbatches=False)
+        plan = build_plan(p)
         assert achievable_load(p, plan, even_assignment(2)).total == value
 
     def test_matches_general_formula(self):
@@ -170,7 +170,7 @@ class TestHomogeneousEvenLoad:
             if not (Fraction(1, K) <= m < 1):
                 continue
             p = validate_profile([m] * K)
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             assert homogeneous_even_load(K, m) == achievable_load(
                 p, plan, even_assignment(K)).total
 
@@ -284,7 +284,7 @@ class TestGapToHomogeneous:
         p = validate_profile([Fraction(1, 6)] * 6 + [Fraction(1, 3)] * 6)
         ratio, regime = gap_to_homogeneous(p)
         assert regime == "computation"
-        plan = build_plan(p, include_subbatches=False)
+        plan = build_plan(p)
         assert ratio == load_computation_aware(p, plan) / Fraction(1, 4)
         assert Fraction(14, 10) < ratio < Fraction(16, 10)
 
@@ -297,7 +297,7 @@ class TestGapToHomogeneous:
 
 class TestLoadReport:
     def test_consistency_and_json(self):
-        plan = build_plan(WORKED, include_subbatches=False)
+        plan = build_plan(WORKED)
         report = build_load_report(WORKED, plan, WORKED_W)
         assert report.achievable == report.lowcl_load + report.highcl_load
         assert report.lower_bound <= report.achievable
@@ -309,7 +309,7 @@ class TestLoadReport:
         rng = random.Random(41)
         for _ in range(100):
             p = random_profile(rng, kmax=6)
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             w = random_assignment(rng, p.K)
             report = build_load_report(p, plan, w)
             assert report.lower_bound <= report.achievable
@@ -323,7 +323,7 @@ class TestLoadReport:
             p = random_profile(rng)
             ratio, _ = gap_to_homogeneous(p)
             assert ratio < HOMOGENEOUS_GAP_BOUND
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             w = computation_aware(p)
             la = achievable_load(p, plan, w).total
             lb, _ = lower_bound(p, w)

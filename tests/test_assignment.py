@@ -53,17 +53,17 @@ class TestComputationAware:
 
 class TestShuffleAware:
     def test_k3(self):
-        w = shuffle_aware(HETERO3, build_plan(HETERO3, include_subbatches=False))
+        w = shuffle_aware(HETERO3, build_plan(HETERO3))
         assert w.w == (Fraction(4, 19), Fraction(6, 19), Fraction(9, 19))
 
     def test_requires_redundancy(self):
         p = validate_profile(["1/2", "1/2"])
         with pytest.raises(RequiresRedundancyError):
-            shuffle_aware(p, build_plan(p, include_subbatches=False))
+            shuffle_aware(p, build_plan(p))
 
     def test_homogeneous_surplus_collapses_to_even(self):
         p = validate_profile(["1/2"] * 4)
-        w = shuffle_aware(p, build_plan(p, include_subbatches=False))
+        w = shuffle_aware(p, build_plan(p))
         assert w.w == tuple([Fraction(1, 4)] * 4)
 
     def test_zero_padding_free_condition(self):
@@ -72,7 +72,7 @@ class TestShuffleAware:
             p = random_profile(rng)
             if p.total == 1:
                 continue
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             w = shuffle_aware(p, plan)
             assert all(v == 0 for v in w.w[:plan.r])
             merits = {w.w[k - 1] * (1 - plan.P[k - 1]) / plan.P[k - 1]
@@ -82,7 +82,7 @@ class TestShuffleAware:
 
 class TestMinimalFunctionCount:
     def test_table_values(self):
-        plan3 = build_plan(HETERO3, include_subbatches=False)
+        plan3 = build_plan(HETERO3)
         assert minimal_function_count(computation_aware(HETERO3)) == 30
         assert minimal_function_count(shuffle_aware(HETERO3, plan3)) == 19
         k12 = validate_profile([Fraction(1, 6)] * 6 + [Fraction(1, 3)] * 6)
@@ -102,7 +102,7 @@ class TestDispatch:
         rng = random.Random(8)
         for _ in range(100):
             p = random_profile(rng)
-            plan = build_plan(p, include_subbatches=False)
+            plan = build_plan(p)
             for strategy in ("even", "computation", "shuffle"):
                 if strategy == "shuffle" and p.total == 1:
                     continue
@@ -110,6 +110,6 @@ class TestDispatch:
                 validate_assignment(w.w, p.K)
 
     def test_custom_requires_vector(self):
-        plan = build_plan(HETERO3, include_subbatches=False)
+        plan = build_plan(HETERO3)
         with pytest.raises(ValueError):
             assignment_for("custom", HETERO3, plan)

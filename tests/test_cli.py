@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,19 @@ class TestPlan:
     def test_missing_config_exit_2(self, capsys):
         assert cli.main(["plan"]) == 2
 
+    def test_negative_precision_rejected_at_parsing(self, capsys, config_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["plan", "--config", config_path(WORKED_CONFIG),
+                      "--precision", "-1"])
+        assert err.value.code == 2
+        assert ("argument --precision: must be a non-negative integer, got '-1'"
+                in capsys.readouterr().err)
+
+    def test_wrong_length_w_is_config_error_exit_2(self, capsys, config_path):
+        cfg = {"m": ["1/2", "1/2"], "w": ["1"], "strategy": "custom"}
+        assert cli.main(["load", "--config", config_path(cfg)]) == 2
+        assert 'config key "w" must list 2 values' in capsys.readouterr().err
+
     def test_round_trip(self, capsys, config_path):
         code, data = run_json(capsys, ["plan", "--config", config_path(WORKED_CONFIG)])
         assert code == 0
@@ -112,6 +126,16 @@ class TestSimulate:
                          "--functions", "23"])
         assert code == 1
         assert "24" in capsys.readouterr().err
+
+    def test_k16_overflow_refused_in_bounded_time(self, capsys, config_path):
+        # minimal N = 16 * 15^15 > 2^62; the 2^15-per-owner table is never built
+        cfg = {"m": ["1/2"] * 16, "strategy": "even"}
+        start = time.perf_counter()
+        code = cli.main(["simulate", "--config", config_path(cfg)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert ("minimal file count 2^4 * 3^15 * 5^15 exceeds cap"
+                in capsys.readouterr().err)
 
     def test_transcript(self, capsys, config_path, tmp_path):
         cfg = {"m": ["1/2", "1/2"], "strategy": "even"}

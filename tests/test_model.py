@@ -5,6 +5,7 @@ import pytest
 
 from codedmr.model import (
     AssignmentSumError,
+    DomainError,
     InsufficientTotalLoadError,
     LoadOutOfRangeError,
     NegativeFractionError,
@@ -12,6 +13,7 @@ from codedmr.model import (
     format_decimal,
     format_rational,
     parse_rational,
+    reorder_like_profile,
     validate_assignment,
     validate_profile,
 )
@@ -153,3 +155,13 @@ class TestConfig:
     def test_missing_m(self):
         with pytest.raises(ValueError):
             config_from_json({"K": 2})
+
+    def test_w_length_mismatch_is_a_config_error(self):
+        with pytest.raises(ValueError, match='"w" must list 2 values') as err:
+            config_from_json({"m": ["1/2", "1/2"], "w": ["1"]})
+        assert not isinstance(err.value, DomainError)
+
+    def test_reorder_checks_length_for_library_callers(self):
+        profile = validate_profile(["1/2", "1/2"])
+        with pytest.raises(AssignmentSumError):
+            reorder_like_profile([1], profile)
