@@ -116,6 +116,17 @@ def subbatch_fractions(
     return table
 
 
+def subbatch_count(l: tuple[Fraction, ...], P: tuple[Fraction, ...]) -> int:
+    """Number of entries of ``subbatch_fractions(l, P)``, in O(K).
+
+    Owner k contributes one entry per subset of the other nodes with
+    0 < P_i < 1; nodes with P_i = 0 or 1 leave a single branch.
+    """
+    free = [0 < p < 1 for p in P]
+    total = sum(free)
+    return sum(1 << (total - free[k]) for k in range(len(l)) if l[k] != 0)
+
+
 def build_plan(profile: ComputationProfile) -> AllocationPlan:
     """Run both allocation steps for a validated profile."""
     l, r, xi = first_step(profile)

@@ -35,6 +35,8 @@ EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
 LARGE_COUNT_DISPLAY = 10 ** 9
+# `plan` lists sub-batches only up to this many; past it, only the count
+PLAN_LISTING_CAP = 2 ** 16
 
 
 def _precision(text: str) -> int:
@@ -157,13 +159,18 @@ def _file_count_fields(plan) -> dict:
 def cmd_plan(args) -> int:
     profile, custom, _ = _require_config(args)
     plan = allocation.build_plan(profile)
-    table = allocation.subbatch_fractions(plan.l, plan.P)
-    subbatch = [{"owner": owner, "subset": list(psi),
-                 "fraction": format_rational(table[(owner, psi)])}
-                for owner, psi in allocation.canonical_subbatch_order(table)]
+    count = allocation.subbatch_count(plan.l, plan.P)
+    if count > PLAN_LISTING_CAP:
+        listing = {"subbatch": None, "subbatch_count": count}
+    else:
+        table = allocation.subbatch_fractions(plan.l, plan.P)
+        listing = {"subbatch": [
+            {"owner": owner, "subset": list(psi),
+             "fraction": format_rational(table[(owner, psi)])}
+            for owner, psi in allocation.canonical_subbatch_order(table)]}
     data = {
         "profile": profile.to_json(),
-        "plan": {**plan.to_json(), "subbatch": subbatch},
+        "plan": {**plan.to_json(), **listing},
         **_file_count_fields(plan),
         "minimal_functions": {},
     }

@@ -1,9 +1,15 @@
 """Bit-exact execution of the Map, Shuffle, and Reduce phases.
 
-Intermediate values are synthetic: a keyed hash of (function, file, seed),
-so ground truth is recomputable anywhere and decoding is verifiable
-bit-for-bit. Multicast payloads XOR per-recipient blocks after zero-padding
-the shorter blocks at the tail, exactly as the load accounting assumes.
+Intermediate values are synthetic and recomputable anywhere: file n has one
+pseudorandom row, the SHAKE-256 stream of (seed, n), and the T-bit IV of
+function q on file n is bits [(q-1)T, qT) of that row. A node's functions
+are a contiguous range, so a message component's block holds, file by file,
+one slice of each file's row. Multicast payloads XOR per-recipient blocks
+after zero-padding the shorter blocks at the tail, exactly as the load
+accounting assumes. Decoding rebuilds each component's block once per
+message: it is both the interference other recipients XOR out and the
+reference the recovered bytes must equal. Delivery is tracked as file
+ranges per recipient, which with the node's own files must cover 1..N.
 """
 
 from __future__ import annotations
@@ -21,22 +27,28 @@ UNICAST = "unicast"
 CODED = "coded"
 
 
+def _rows(seed: int, files: range, nbytes: int) -> list[bytes]:
+    """The first nbytes of each file's XOF row, shake_256(seed8 || n8)."""
+    base = hashlib.shake_256((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
+    rows = []
+    for n in files:
+        xof = base.copy()
+        xof.update(n.to_bytes(8, "big"))
+        rows.append(xof.digest(nbytes))
+    return rows
+
+
+def _bits(data: bytes, start: int, width: int) -> int:
+    """Bits [start, start + width) of data, MSB-first, as an int."""
+    lo, hi = start >> 3, (start + width + 7) >> 3
+    return (int.from_bytes(data[lo:hi], "big") >> (8 * hi - start - width)
+            & ((1 << width) - 1))
+
+
 def iv_value(seed: int, q: int, n: int, T: int) -> int:
     """The T-bit intermediate value of function q on file n, as an int."""
-    nbytes = (T + 7) // 8
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-    if nbytes <= 64:
-        digest = hashlib.blake2b(
-            q.to_bytes(8, "big") + n.to_bytes(8, "big"),
-            key=key, digest_size=nbytes).digest()
-    else:
-        chunks = []
-        for ctr in range((nbytes + 63) // 64):
-            chunks.append(hashlib.blake2b(
-                q.to_bytes(8, "big") + n.to_bytes(8, "big") + ctr.to_bytes(4, "big"),
-                key=key, digest_size=64).digest())
-        digest = b"".join(chunks)[:nbytes]
-    return int.from_bytes(digest, "big") >> (8 * nbytes - T)
+    row, = _rows(seed, range(n, n + 1), (q * T + 7) // 8)
+    return _bits(row, (q - 1) * T, T)
 
 
 def pack_ivs(values: Iterable[int], T: int) -> bytes:
@@ -50,35 +62,18 @@ def pack_ivs(values: Iterable[int], T: int) -> bytes:
     for v in values:
         acc = (acc << T) | v
         bits += T
-        while bits >= 8:
-            bits -= 8
-            out.append(acc >> bits & 0xFF)
-            acc &= (1 << bits) - 1
+        rest = bits & 7
+        out += (acc >> rest).to_bytes(bits >> 3, "big")
+        acc &= (1 << rest) - 1
+        bits = rest
     if bits:
-        out.append(acc << (8 - bits) & 0xFF)
+        out.append(acc << (8 - bits))
     return bytes(out)
 
 
 def unpack_ivs(data: bytes, count: int, T: int) -> list[int]:
     """Inverse of pack_ivs for the first ``count`` values."""
-    if T % 8 == 0:
-        width = T // 8
-        return [int.from_bytes(data[i * width:(i + 1) * width], "big")
-                for i in range(count)]
-    values = []
-    acc = 0
-    bits = 0
-    pos = 0
-    mask = (1 << T) - 1
-    for _ in range(count):
-        while bits < T:
-            acc = (acc << 8) | data[pos]
-            pos += 1
-            bits += 8
-        bits -= T
-        values.append(acc >> bits & mask)
-        acc &= (1 << bits) - 1
-    return values
+    return [_bits(data, i * T, T) for i in range(count)]
 
 
 def run_map(instance: MaterializedInstance) -> dict[int, set[int]]:
@@ -93,7 +88,7 @@ def run_map(instance: MaterializedInstance) -> dict[int, set[int]]:
 
 @dataclass(frozen=True)
 class MessageComponent:
-    """One recipient's share of a message, in canonical (q, n) order."""
+    """One recipient's share of a message, file-major: for each n, every q."""
 
     recipient: int
     functions: range
@@ -101,8 +96,8 @@ class MessageComponent:
     bit_length: int
 
     def pairs(self):
-        for q in self.functions:
-            for n in self.files:
+        for n in self.files:
+            for q in self.functions:
                 yield q, n
 
 
@@ -117,15 +112,29 @@ class ShuffleMessage:
 
 
 def _component_block(component: MessageComponent, seed: int, T: int) -> bytes:
-    return pack_ivs(
-        (iv_value(seed, q, n, T) for q, n in component.pairs()), T)
+    """pack_ivs of the component's IVs, one row slice per file."""
+    functions = component.functions
+    if not functions or not component.files:
+        return b""
+    start = (functions.start - 1) * T
+    width = len(functions) * T
+    rows = _rows(seed, component.files, (start + width + 7) // 8)
+    if start % 8 == 0 and width % 8 == 0:
+        lo = start // 8
+        return b"".join(row[lo:] for row in rows)
+    return pack_ivs((_bits(row, start, width) for row in rows), width)
+
+
+def _aligned(block: bytes, nbytes: int) -> int:
+    """block as an int, zero-extended at the tail to nbytes."""
+    return int.from_bytes(block, "big") << (8 * (nbytes - len(block)))
 
 
 def _xor_aligned(blocks: Sequence[bytes], nbytes: int) -> bytes:
     """XOR byte strings aligned at the head, zero-extended to nbytes."""
     acc = 0
     for block in blocks:
-        acc ^= int.from_bytes(block, "big") << (8 * (nbytes - len(block)))
+        acc ^= _aligned(block, nbytes)
     return acc.to_bytes(nbytes, "big")
 
 
@@ -236,15 +245,16 @@ def run_reduce(
 ) -> SimulationReport:
     """Decode every message at its recipients and verify full recovery.
 
-    A coded message is decoded by rebuilding the other recipients' blocks
-    from the local Map store, padding them to the message length, XORing them
-    out, and truncating to the own block length. Every recovered IV is
-    compared bit-for-bit against the generator; afterwards each node must
-    hold exactly the IVs of its functions across all N files.
+    Each component's ground-truth block is built once per message. A
+    recipient checks that its Map store holds the other components' files,
+    XORs their blocks out of the zero-padded payload, truncates to its own
+    block length and compares the result with its own block byte for byte.
+    Afterwards each node's delivered file ranges, with the files it maps,
+    must cover 1..N.
     """
     N, Q, T, seed = instance.N, instance.Q, instance.T, instance.seed
     K = instance.K
-    delivered: dict[int, set[int]] = {k: set() for k in range(1, K + 1)}
+    delivered: dict[int, list[range]] = {k: [] for k in range(1, K + 1)}
     failures: list[tuple[int, int, int, str]] = []
     decode_success = {k: True for k in range(1, K + 1)}
     per_sender_bits = {k: 0 for k in range(1, K + 1)}
@@ -257,9 +267,6 @@ def run_reduce(
         decode_success[node] = False
         failures.append((node, q, n, reason))
 
-    def key(q: int, n: int) -> int:
-        return q * (N + 1) + n
-
     for msg in messages:
         per_sender_bits[msg.sender] += msg.bit_length
         total_bits += msg.bit_length
@@ -267,56 +274,54 @@ def run_reduce(
             log.append({"sender": msg.sender,
                         "recipients": list(msg.recipients),
                         "kind": msg.kind, "bits": msg.bit_length})
+        live = [c for c in msg.components if c.bit_length]
+        truth = [_component_block(c, seed, T) for c in live]
         nbytes = (msg.bit_length + 7) // 8
-        for component in msg.components:
+        interference = [_aligned(block, nbytes) for block in truth]
+        payload = _aligned(msg.payload, nbytes)
+        for j, (component, block) in enumerate(zip(live, truth)):
             i = component.recipient
-            count = len(component.functions) * len(component.files)
-            if count == 0:
-                continue
-            if msg.kind == UNICAST:
-                own = msg.payload
+            store = stores[i]
+            cancelled = payload
+            for o, (other, other_bits) in enumerate(zip(live, interference)):
+                if o == j:
+                    continue
+                if not store.issuperset(other.files):
+                    missing = next(n for n in other.files if n not in store)
+                    fail(i, other.functions.start, missing,
+                         "side-information file absent from Map store")
+                    break
+                cancelled ^= other_bits
             else:
-                interference = []
-                ok = True
-                for other in msg.components:
-                    if other.recipient == i or other.bit_length == 0:
+                own = (cancelled >> 8 * (nbytes - len(block))).to_bytes(
+                    len(block), "big")
+                if own != block:
+                    count = len(component.functions) * len(component.files)
+                    wrong = next(
+                        (pair for pair, x, y in zip(
+                            component.pairs(), unpack_ivs(own, count, T),
+                            unpack_ivs(block, count, T)) if x != y),
+                        None)
+                    if wrong is not None:
+                        fail(i, *wrong, "recovered IV differs from ground truth")
                         continue
-                    store = stores[i]
-                    missing = next(
-                        (n for n in other.files if n not in store), None)
-                    if missing is not None:
-                        fail(i, other.functions.start, missing,
-                             "side-information file absent from Map store")
-                        ok = False
-                        break
-                    interference.append(_component_block(other, seed, T))
-                if not ok:
-                    continue
-                cancelled = _xor_aligned([msg.payload] + interference, nbytes)
-                own_nbytes = (component.bit_length + 7) // 8
-                own = cancelled[:own_nbytes]
-            values = unpack_ivs(own, count, T)
-            mismatch_logged = False
-            for (q, n), value in zip(component.pairs(), values):
-                if value != iv_value(seed, q, n, T):
-                    if not mismatch_logged:
-                        fail(i, q, n, "recovered IV differs from ground truth")
-                        mismatch_logged = True
-                    continue
-                delivered[i].add(key(q, n))
+                wanted = instance.functions_of[i]
+                if (component.functions.start <= wanted.start
+                        and wanted.stop <= component.functions.stop):
+                    delivered[i].append(component.files)
 
     for i in range(1, K + 1):
-        needed_files = N - sum(map(len, instance.files_of[i]))
-        expected = len(instance.functions_of[i]) * needed_files
-        if len(delivered[i]) != expected:
-            outside = sorted(set(range(1, N + 1))
-                             - set(chain.from_iterable(instance.files_of[i])))
-            first = next(
-                ((q, n) for q in instance.functions_of[i] for n in outside
-                 if key(q, n) not in delivered[i]),
-                None)
-            if first is not None:
-                fail(i, first[0], first[1], "IV never delivered")
+        functions = instance.functions_of[i]
+        if not functions:
+            continue
+        covered = 1
+        for files in sorted(chain(instance.files_of[i], delivered[i]),
+                            key=lambda r: r.start):
+            if files.start > covered:
+                break
+            covered = max(covered, files.stop)
+        if covered <= N:
+            fail(i, functions.start, covered, "IV never delivered")
 
     return SimulationReport(
         total_bits=total_bits,

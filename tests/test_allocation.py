@@ -16,6 +16,7 @@ from codedmr.allocation import (
     format_factored,
     materialize,
     minimal_file_count,
+    subbatch_count,
     subbatch_fractions,
     surplus_ratios,
 )
@@ -106,6 +107,15 @@ class TestSubbatchFractions:
             total = sum(
                 (f for (o, _), f in table.items() if o == k), Fraction(0))
             assert total == plan.l[k - 1]
+
+    def test_count_matches_table(self):
+        rng = random.Random(5)
+        profiles = [WORKED, HETERO3] + [random_profile(rng, kmax=9)
+                                        for _ in range(100)]
+        for p in profiles:
+            plan = build_plan(p)
+            assert subbatch_count(plan.l, plan.P) == len(
+                subbatch_fractions(plan.l, plan.P))
 
 
 class TestMinimalFileCount:

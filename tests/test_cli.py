@@ -52,6 +52,18 @@ class TestPlan:
         assert data["minimal_functions"]["computation"] == 30
         assert data["minimal_functions"]["shuffle"] == 19
 
+    # K=12 (24,576 entries, under the cap) is pinned by the golden digests
+    @pytest.mark.parametrize("K, count", [(15, 15 * 2 ** 14), (64, 64 * 2 ** 63)],
+                             ids=["K15", "K64"])
+    def test_listing_past_cap_reports_count(self, capsys, config_path, K, count):
+        cfg = {"m": ["1/2"] * K}
+        start = time.perf_counter()
+        code, data = run_json(capsys, ["plan", "--config", config_path(cfg)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert data["plan"]["subbatch"] is None
+        assert data["plan"]["subbatch_count"] == count
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

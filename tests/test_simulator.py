@@ -1,7 +1,11 @@
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from codedmr.allocation import build_plan, materialize, minimal_file_count
 from codedmr.analytics import achievable_load
@@ -10,10 +14,18 @@ from codedmr.assignment import (
     even_assignment,
     minimal_function_count,
 )
-from codedmr.model import DecodeFailureError, validate_assignment, validate_profile
+from codedmr.model import (
+    DecodeFailureError,
+    DomainError,
+    FunctionAssignment,
+    validate_assignment,
+    validate_profile,
+)
 from codedmr.simulator import (
     CODED,
     UNICAST,
+    MessageComponent,
+    _component_block,
     build_shuffle,
     iv_value,
     pack_ivs,
@@ -26,6 +38,42 @@ from conftest import random_assignment, random_profile
 
 WORKED = validate_profile(["1/5", "1/3", "1/3", "1/2"])
 WORKED_W = validate_assignment(["1/8", "1/4", "1/6", "11/24"], 4)
+HETERO3 = validate_profile(["3/5", "2/3", "11/15"])
+HETERO3_W = validate_assignment(["3/10", "1/3", "11/30"], 3)
+
+
+def n_q_within_caps(n_min: int, q_min: int) -> bool:
+    """Instance sizes small enough for a randomized full simulation."""
+    return n_min <= 3000 and q_min <= 100 and n_min * q_min <= 50_000
+
+
+@st.composite
+def small_simulations(draw):
+    """A random K 2..5 profile, assignment and IV width T in 1..600."""
+    K = draw(st.integers(2, 5))
+    m = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8),
+                     max_denominator=8),
+        min_size=K, max_size=K))
+    assume(sum(m) >= 1)
+    try:
+        p = validate_profile(m)
+    except DomainError:
+        assume(False)
+    plan = build_plan(p)
+    n_min = minimal_file_count(plan, cap=None)
+    strategy = draw(st.sampled_from(["even", "computation", "shuffle", "custom"]))
+    if strategy == "shuffle" and p.total == 1:
+        strategy = "even"
+    custom = None
+    if strategy == "custom":
+        weights = draw(st.lists(st.integers(0, 8), min_size=K, max_size=K))
+        assume(sum(weights) > 0)
+        custom = FunctionAssignment(
+            w=tuple(Fraction(a, sum(weights)) for a in weights))
+    w = assignment_for(strategy, p, plan, custom)
+    assume(n_q_within_caps(n_min, minimal_function_count(w)))
+    return p, plan, w, draw(st.integers(1, 600)), draw(st.integers(0, 2 ** 64 - 1))
 
 
 class TestIvGeneration:
@@ -41,13 +89,43 @@ class TestIvGeneration:
         assert base != iv_value(1, 3, 3, 64)
         assert base != iv_value(1, 2, 4, 64)
 
-    @pytest.mark.parametrize("T", [3, 8, 13, 32])
+    @pytest.mark.parametrize("T", [1, 3, 8, 9, 13, 32, 63, 65, 517])
     def test_pack_unpack_round_trip(self, T):
         rng = random.Random(T)
-        values = [rng.randrange(1 << T) for _ in range(57)]
-        data = pack_ivs(values, T)
-        assert len(data) == (57 * T + 7) // 8
-        assert unpack_ivs(data, 57, T) == values
+        for count in (0, 1, 8, 57):
+            values = [rng.randrange(1 << T) for _ in range(count)]
+            data = pack_ivs(values, T)
+            assert len(data) == (count * T + 7) // 8
+            if count * T % 8:
+                # the tail of the last byte is zero padding
+                assert data[-1] & ((1 << (8 - count * T % 8)) - 1) == 0
+            assert unpack_ivs(data, count, T) == values
+
+    @pytest.mark.parametrize("T", [1, 7, 8, 13, 32, 517, 700])
+    @pytest.mark.parametrize("functions", [range(1, 4), range(3, 6)])
+    def test_component_block_is_a_view_of_iv_value(self, T, functions):
+        component = MessageComponent(
+            recipient=1, functions=functions, files=range(5, 9),
+            bit_length=len(functions) * 4 * T)
+        expected = pack_ivs(
+            (iv_value(17, q, n, T) for q, n in component.pairs()), T)
+        assert _component_block(component, 17, T) == expected
+        assert list(component.pairs())[:4] == [
+            (functions[0], 5), (functions[1], 5), (functions[2], 5),
+            (functions[0], 6)]
+
+    @pytest.mark.parametrize("T", [1, 7, 32, 517])
+    def test_iv_value_is_a_prefix_of_the_file_row(self, T):
+        seed, n = 2 ** 64 + 3, 11  # the seed is taken mod 2^64
+        for Q in (1, 5, 24):
+            nbits = Q * T
+            row = hashlib.shake_256(
+                (3).to_bytes(8, "big") + n.to_bytes(8, "big")
+            ).digest((nbits + 7) // 8)
+            bits = int.from_bytes(row, "big") >> (-nbits % 8)
+            for q in range(1, Q + 1):
+                assert iv_value(seed, q, n, T) == (
+                    bits >> (Q - q) * T & ((1 << T) - 1))
 
 
 class TestRunMap:
@@ -154,8 +232,7 @@ class TestRunReduce:
                 strategy = "even"
             custom = random_assignment(rng, p.K) if strategy == "custom" else None
             w = assignment_for(strategy, p, plan, custom)
-            q_min = minimal_function_count(w)
-            if q_min > 100 or n_min * q_min > 50_000:
+            if not n_q_within_caps(n_min, minimal_function_count(w)):
                 continue
             inst, plan, report = simulate(p, w, T=8, seed=rng.randrange(2 ** 32))
             assert all(report.decode_success.values())
@@ -200,6 +277,61 @@ class TestRunReduce:
         assert any(node == victim for node, _, _, _ in report.failures)
         others = [k for k in report.decode_success if k != victim]
         assert all(report.decode_success[k] for k in others)
+
+    def test_flipped_payload_bit_names_that_iv(self):
+        T = 13
+        plan = build_plan(HETERO3)
+        inst = materialize(plan, HETERO3_W, N=150, Q=30, T=T, seed=4)
+        stores = run_map(inst)
+        msgs = build_shuffle(inst, plan)
+        index, msg = next((j, m) for j, m in enumerate(msgs)
+                          if m.kind == CODED and len(m.recipients) >= 2)
+        victim = max(msg.components, key=lambda c: c.bit_length)
+        others_bytes = max((c.bit_length + 7) // 8
+                           for c in msg.components if c is not victim)
+        bit = victim.bit_length - 1
+        # no other recipient's block reaches the flipped bit
+        assert bit >= 8 * others_bytes
+        payload = bytearray(msg.payload)
+        payload[bit // 8] ^= 0x80 >> bit % 8
+        msgs[index] = replace(msg, payload=bytes(payload))
+        q, n = list(victim.pairs())[bit // T]
+
+        with pytest.raises(DecodeFailureError) as err:
+            run_reduce(inst, plan, stores, msgs)
+        assert "recovered IV differs from ground truth" in str(err.value)
+        assert (err.value.node, err.value.q, err.value.n) == (victim.recipient, q, n)
+
+        report = run_reduce(inst, plan, stores, msgs, strict=False)
+        assert report.failures[0] == (
+            victim.recipient, q, n, "recovered IV differs from ground truth")
+        assert {node for node, _, _, _ in report.failures} == {victim.recipient}
+        assert [k for k, ok in report.decode_success.items() if not ok] == [
+            victim.recipient]
+
+    def test_dropped_unicast_is_never_delivered(self):
+        p = validate_profile(["1/4", "1/3", "1/2"])
+        plan = build_plan(p)
+        inst = materialize(plan, even_assignment(3), N=84, Q=3, T=13, seed=2)
+        stores = run_map(inst)
+        msgs = build_shuffle(inst, plan)
+        dropped = next(m for m in msgs if m.kind == UNICAST)
+        msgs.remove(dropped)
+        component, = dropped.components
+        with pytest.raises(DecodeFailureError) as err:
+            run_reduce(inst, plan, stores, msgs)
+        assert "IV never delivered" in str(err.value)
+        first_q, first_n = next(component.pairs())
+        assert (err.value.node, err.value.q, err.value.n) == (
+            component.recipient, first_q, first_n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_simulations())
+    def test_measured_equals_analytic_property(self, case):
+        p, plan, w, T, seed = case
+        _, plan, report = simulate(p, w, T=T, seed=seed)
+        assert all(report.decode_success.values())
+        assert report.measured_load == achievable_load(p, plan, w).total
 
     def test_message_log(self):
         p = validate_profile(["1/2", "1/2"])
