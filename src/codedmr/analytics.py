@@ -177,28 +177,42 @@ def lower_bound(
 ) -> tuple[Fraction, frozenset[int]]:
     """Cut-set bound: max over node subsets T of (1 - sum_T m_k) * sum_T w_k.
 
-    Exhaustive over all 2^K subsets; refuses beyond ``cap`` nodes. Returns
-    the maximum and a maximizing subset as witness (empty set gives 0, so the
-    bound is never negative).
+    Exact integer walk over all 2^K - 1 nonempty subsets in Gray-code order.
+    With D the lcm of the denominators of m and E that of w, every m_k and
+    w_k scales to an integer M_k = m_k D, W_k = w_k E; step i flips node
+    ctz(i) in or out of the subset, so two running integer sums change by
+    one term each and the subset scores (D - sum M) * sum W = value * D E.
+    Among maximizers the numerically lowest bit mask (bit k-1 for node k)
+    is the witness; the empty set gives 0, so the bound is never negative.
+
+    The cost is 2^K whatever the data, and K is refused beyond ``cap``: with
+    w proportional to m the bound is max over T of s(1 - s), which encodes
+    Partition, so no exact polynomial-time algorithm is expected.
     """
     K = profile.K
     if K > cap:
         raise TooManyNodesError(
             f"subset enumeration capped at {cap} nodes, profile has {K}")
-    best = Fraction(0)
-    witness: frozenset[int] = frozenset()
-    for mask in range(1, 1 << K):
-        m_sum = Fraction(0)
-        w_sum = Fraction(0)
-        for k in range(K):
-            if mask >> k & 1:
-                m_sum += profile.m[k]
-                w_sum += w.w[k]
-        value = (1 - m_sum) * w_sum
-        if value > best:
-            best = value
-            witness = frozenset(k + 1 for k in range(K) if mask >> k & 1)
-    return best, witness
+    D = math.lcm(*(v.denominator for v in profile.m))
+    E = math.lcm(*(v.denominator for v in w.w))
+    M = [v.numerator * (D // v.denominator) for v in profile.m]
+    W = [v.numerator * (E // v.denominator) for v in w.w]
+    mask = m_sum = w_sum = 0
+    best = best_mask = 0
+    for i in range(1, 1 << K):
+        k = (i & -i).bit_length() - 1
+        mask ^= 1 << k
+        if mask >> k & 1:
+            m_sum += M[k]
+            w_sum += W[k]
+        else:
+            m_sum -= M[k]
+            w_sum -= W[k]
+        value = (D - m_sum) * w_sum
+        if value > best or (value == best and value > 0 and mask < best_mask):
+            best, best_mask = value, mask
+    witness = frozenset(k + 1 for k in range(K) if best_mask >> k & 1)
+    return Fraction(best, D * E), witness
 
 
 def gap_to_homogeneous(profile: ComputationProfile) -> tuple[Fraction, str]:
@@ -216,34 +230,45 @@ def gap_to_homogeneous(profile: ComputationProfile) -> tuple[Fraction, str]:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """Achievable load, its split, bounds, and gap ratios for one instance."""
+    """Achievable load, its split, bounds, and gap ratios for one instance.
+
+    Past the subset-enumeration cap the cut-set fields are None and
+    ``lower_bound_skipped`` says why; the other fields are still exact.
+    """
 
     achievable: Fraction
     lowcl_load: Fraction
     highcl_load: Fraction
     s_order: tuple[int, ...]
-    lower_bound: Fraction
-    lower_bound_witness: frozenset[int]
+    lower_bound: Fraction | None
+    lower_bound_witness: frozenset[int] | None
     homogeneous_optimal: Fraction
-    gap_to_lower: Fraction
+    gap_to_lower: Fraction | None
     gap_to_homogeneous: Fraction
+    lower_bound_skipped: str | None = None
 
     def to_json(self, precision: int = 6) -> dict:
-        def both(v: Fraction) -> dict:
+        def both(v: Fraction | None) -> dict | None:
+            if v is None:
+                return None
             return {"exact": format_rational(v),
                     "decimal": format_decimal(v, precision)}
 
-        return {
+        data = {
             "achievable": both(self.achievable),
             "lowcl_load": both(self.lowcl_load),
             "highcl_load": both(self.highcl_load),
             "s_order": list(self.s_order),
             "lower_bound": both(self.lower_bound),
-            "lower_bound_witness": sorted(self.lower_bound_witness),
+            "lower_bound_witness": (None if self.lower_bound_witness is None
+                                    else sorted(self.lower_bound_witness)),
             "homogeneous_optimal": both(self.homogeneous_optimal),
             "gap_to_lower": both(self.gap_to_lower),
             "gap_to_homogeneous": both(self.gap_to_homogeneous),
         }
+        if self.lower_bound_skipped is not None:
+            data["lower_bound_skipped"] = self.lower_bound_skipped
+        return data
 
 
 def build_load_report(
@@ -251,9 +276,16 @@ def build_load_report(
     plan: AllocationPlan,
     w: FunctionAssignment,
 ) -> LoadReport:
+    """Full report; a profile past the cut-set cap reports without the bound."""
     load = achievable_load(profile, plan, w)
-    bound, witness = lower_bound(profile, w)
     optimal = homogeneous_optimal(profile.K, profile.mean)
+    bound = witness = gap_to_lower = skipped = None
+    try:
+        bound, witness = lower_bound(profile, w)
+    except TooManyNodesError as exc:
+        skipped = str(exc)
+    else:
+        gap_to_lower = load.total / bound if bound > 0 else Fraction(0)
     return LoadReport(
         achievable=load.total,
         lowcl_load=load.lowcl,
@@ -262,6 +294,7 @@ def build_load_report(
         lower_bound=bound,
         lower_bound_witness=witness,
         homogeneous_optimal=optimal,
-        gap_to_lower=load.total / bound if bound > 0 else Fraction(0),
+        gap_to_lower=gap_to_lower,
         gap_to_homogeneous=load.total / optimal if optimal > 0 else Fraction(0),
+        lower_bound_skipped=skipped,
     )

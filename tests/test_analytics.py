@@ -1,8 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from codedmr.allocation import build_plan
 from codedmr.analytics import (
@@ -20,10 +23,12 @@ from codedmr.analytics import (
 )
 from codedmr.assignment import computation_aware, even_assignment, shuffle_aware
 from codedmr.model import (
+    ComputationProfile,
     FunctionAssignment,
     OutOfDomainError,
     RequiresRedundancyError,
     TooManyNodesError,
+    config_from_json,
     validate_assignment,
     validate_profile,
 )
@@ -43,6 +48,88 @@ def brute_lower_bound(profile, w):
             w_sum = sum((w.w[k - 1] for k in subset), Fraction(0))
             best = max(best, (1 - m_sum) * w_sum)
     return best
+
+
+def fraction_mask_lower_bound(profile, w):
+    """Reference: the Fraction loop the integer Gray-code walk replaced.
+
+    Rebuilds both sums for every subset in mask order; the first maximum
+    (lowest mask) is the witness.
+    """
+    K = profile.K
+    best = Fraction(0)
+    witness = frozenset()
+    for mask in range(1, 1 << K):
+        m_sum = Fraction(0)
+        w_sum = Fraction(0)
+        for k in range(K):
+            if mask >> k & 1:
+                m_sum += profile.m[k]
+                w_sum += w.w[k]
+        value = (1 - m_sum) * w_sum
+        if value > best:
+            best = value
+            witness = frozenset(k + 1 for k in range(K) if mask >> k & 1)
+    return best, witness
+
+
+def weights_to_assignment(weights):
+    total = sum(weights)
+    return FunctionAssignment(w=tuple(Fraction(a, total) for a in weights))
+
+
+@st.composite
+def tied_bound_inputs(draw):
+    """K in 1..9 with loads drawn from at most three values and weights that
+    are equal, small integers (zeros included) or proportional to m, so many
+    subsets share the maximum. lower_bound reads only K and m, so the profile
+    is built directly and may sum below 1, which K = 1 needs.
+    """
+    K = draw(st.integers(1, 9))
+    values = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 24), max_value=Fraction(23, 24),
+                     max_denominator=24),
+        min_size=1, max_size=3))
+    m = sorted(draw(st.lists(st.sampled_from(values), min_size=K, max_size=K)))
+    kind = draw(st.sampled_from(["equal", "integer", "proportional"]))
+    if kind == "equal":
+        weights = [1] * K
+    elif kind == "integer":
+        weights = draw(st.lists(st.integers(0, 3), min_size=K, max_size=K)
+                       .map(lambda ws: ws if any(ws) else [1] + ws[1:]))
+    else:
+        weights = m
+    event(f"w {kind}")
+    profile = ComputationProfile(K=K, m=tuple(m),
+                                 node_labels=tuple(range(1, K + 1)))
+    return profile, weights_to_assignment(weights)
+
+
+@st.composite
+def configs(draw):
+    """A valid K 2..8 config (tied loads common) with a custom w in the same
+    node order as m, plus a permutation of the nodes."""
+    K = draw(st.integers(2, 8))
+    values = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 30), max_value=Fraction(29, 30),
+                     max_denominator=30),
+        min_size=1, max_size=K))
+    m = draw(st.lists(st.sampled_from(values), min_size=K, max_size=K))
+    assume(sum(m) >= 1)
+    weights = draw(st.lists(st.integers(0, 5), min_size=K, max_size=K)
+                   .map(lambda ws: ws if any(ws) else [1] + ws[1:]))
+    w = [Fraction(a, sum(weights)) for a in weights]
+    order = draw(st.permutations(range(K)))
+    return m, w, order
+
+
+def all_assignments(profile, plan, custom):
+    assignments = {"even": even_assignment(profile.K),
+                   "computation": computation_aware(profile),
+                   "custom": custom}
+    if profile.total > 1:
+        assignments["shuffle"] = shuffle_aware(profile, plan)
+    return assignments
 
 
 class TestSOrdering:
@@ -271,6 +358,59 @@ class TestLowerBound:
         with pytest.raises(TooManyNodesError):
             lower_bound(p, even_assignment(5), cap=4)
 
+    @settings(max_examples=300, deadline=None)
+    @example((validate_profile(["1/2", "1/2"]),
+              weights_to_assignment([1, 1])))  # {1} and {2} tie
+    @example((WORKED, WORKED_W))
+    @given(tied_bound_inputs())
+    def test_matches_fraction_mask_loop(self, case):
+        profile, w = case
+        bound, witness = lower_bound(profile, w)
+        assert (bound, witness) == fraction_mask_lower_bound(profile, w)
+        maximizers = sum(
+            1 for size in range(1, profile.K + 1)
+            for subset in combinations(range(profile.K), size)
+            if (1 - sum(profile.m[k] for k in subset))
+            * sum(w.w[k] for k in subset) == bound)
+        event("tied maximum" if maximizers > 1 else "unique maximum")
+
+    def test_k20_all_half_is_fast(self):
+        p = validate_profile(["1/2"] * 20)
+        start = time.perf_counter()
+        bound, witness = lower_bound(p, even_assignment(20))
+        assert time.perf_counter() - start < 5.0
+        assert bound == Fraction(1, 40)  # every singleton ties; lowest wins
+        assert witness == {1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(configs())
+    def test_below_achievable_for_every_assignment(self, case):
+        m, w, _ = case
+        profile, custom, _ = config_from_json({"m": m, "w": w})
+        plan = build_plan(profile)
+        for name, assignment in all_assignments(profile, plan, custom).items():
+            bound, _ = lower_bound(profile, assignment)
+            assert bound <= achievable_load(profile, plan, assignment).total, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(configs())
+    def test_input_order_does_not_matter(self, case):
+        m, w, order = case
+        profile, custom, _ = config_from_json({"m": m, "w": w})
+        shuffled, custom2, _ = config_from_json(
+            {"m": [m[i] for i in order], "w": [w[i] for i in order]})
+        assert shuffled.m == profile.m
+        plan, plan2 = build_plan(profile), build_plan(shuffled)
+        assert plan2 == plan
+        first = all_assignments(profile, plan, custom)
+        second = all_assignments(shuffled, plan2, custom2)
+        assert first.keys() == second.keys()
+        for name in first:
+            assert (achievable_load(shuffled, plan2, second[name]).total
+                    == achievable_load(profile, plan, first[name]).total), name
+            assert (lower_bound(shuffled, second[name])[0]
+                    == lower_bound(profile, first[name])[0]), name
+
 
 class TestGapToHomogeneous:
     def test_homogeneous_no_surplus_is_tight(self):
@@ -316,6 +456,24 @@ class TestLoadReport:
             assert report.gap_to_lower == (
                 report.achievable / report.lower_bound
                 if report.lower_bound else Fraction(0))
+            assert "lower_bound_skipped" not in report.to_json()
+
+    def test_past_cap_reports_without_bound(self):
+        p = validate_profile(["1/2"] * 30)
+        plan = build_plan(p)
+        w = even_assignment(30)
+        report = build_load_report(p, plan, w)
+        assert report.achievable == achievable_load(p, plan, w).total
+        assert report.homogeneous_optimal == Fraction(1, 30)
+        assert report.lower_bound is None
+        assert report.lower_bound_witness is None
+        assert report.gap_to_lower is None
+        data = report.to_json()
+        assert data["lower_bound"] is None
+        assert data["lower_bound_witness"] is None
+        assert data["gap_to_lower"] is None
+        assert data["lower_bound_skipped"] == (
+            "subset enumeration capped at 24 nodes, profile has 30")
 
     def test_gap_bounds_spot_check(self):
         rng = random.Random(42)

@@ -122,6 +122,21 @@ class TestLoad:
         cfg = {"m": ["1/2", "1/2"]}
         assert cli.main(["load", "--config", config_path(cfg)]) == 2
 
+    def test_past_bound_cap_reports_without_bound(self, capsys, config_path):
+        cfg = {"m": ["1/2"] * 30, "strategy": "even"}
+        start = time.perf_counter()
+        code, data = run_json(capsys, ["load", "--config", config_path(cfg)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        report = data["report"]
+        assert report["homogeneous_optimal"]["exact"] == "1/30"
+        assert Fraction(report["achievable"]["exact"]) > Fraction(1, 30)
+        assert report["lower_bound"] is None
+        assert report["lower_bound_witness"] is None
+        assert report["gap_to_lower"] is None
+        assert report["lower_bound_skipped"] == (
+            "subset enumeration capped at 24 nodes, profile has 30")
+
 
 class TestSimulate:
     def test_two_node(self, capsys, config_path):
@@ -234,7 +249,13 @@ class TestBoundGap:
         code, data = run_json(capsys, ["bound", "--config", config_path(cfg)])
         assert code == 0
         assert data["lower_bound"]["exact"] == "1/4"
-        assert data["witness"] in ([1], [2])
+        assert data["witness"] == [1]  # ties go to the lowest subset mask
+
+    def test_bound_past_cap_exit_1(self, capsys, config_path):
+        cfg = {"m": ["1/2"] * 30, "strategy": "even"}
+        assert cli.main(["bound", "--config", config_path(cfg)]) == 1
+        assert ("subset enumeration capped at 24 nodes, profile has 30"
+                in capsys.readouterr().err)
 
     def test_gap(self, capsys, config_path):
         cfg = {"m": ["1/6"] * 6 + ["1/3"] * 6}

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from codedmr.model import (
     AssignmentSumError,
@@ -50,6 +52,10 @@ class TestParseRational:
         assert format_rational(parse_rational("2/4")) == "1/2"
         assert format_rational(parse_rational("-2/4")) == "-1/2"
 
+    @given(st.fractions())
+    def test_format_round_trip_property(self, x):
+        assert parse_rational(format_rational(x)) == x
+
 
 class TestFormatDecimal:
     def test_half_even(self):
@@ -64,6 +70,12 @@ class TestFormatDecimal:
     def test_padding(self):
         assert format_decimal(Fraction(1, 4), 6) == "0.250000"
         assert format_decimal(Fraction(3), 2) == "3.00"
+
+    @given(st.fractions(), st.integers(0, 12))
+    def test_equals_round_parsed_back(self, x, precision):
+        text = format_decimal(x, precision)
+        assert parse_rational(text) == round(x, precision)
+        assert len(text.partition(".")[2]) == precision
 
 
 class TestValidateProfile:
