@@ -227,27 +227,6 @@ class MaterializedInstance:
     def K(self) -> int:
         return len(self.functions_of)
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "Q": self.Q,
-            "T": self.T,
-            "seed": self.seed,
-            "subbatches": [
-                {
-                    "owner": owner,
-                    "subset": list(psi),
-                    "first_file": rng.start,
-                    "file_count": len(rng),
-                }
-                for (owner, psi), rng in self.subbatch_files.items()
-            ],
-            "functions_of": {
-                str(k): {"first": rng.start, "count": len(rng)}
-                for k, rng in self.functions_of.items()
-            },
-        }
-
 
 def materialize(
     plan: AllocationPlan,

@@ -19,7 +19,7 @@ from .model import (
     OutOfDomainError,
     RequiresRedundancyError,
     TooManyNodesError,
-    format_decimal,
+    format_both,
     format_rational,
 )
 
@@ -248,23 +248,18 @@ class LoadReport:
     lower_bound_skipped: str | None = None
 
     def to_json(self, precision: int = 6) -> dict:
-        def both(v: Fraction | None) -> dict | None:
-            if v is None:
-                return None
-            return {"exact": format_rational(v),
-                    "decimal": format_decimal(v, precision)}
-
+        p = precision
         data = {
-            "achievable": both(self.achievable),
-            "lowcl_load": both(self.lowcl_load),
-            "highcl_load": both(self.highcl_load),
+            "achievable": format_both(self.achievable, p),
+            "lowcl_load": format_both(self.lowcl_load, p),
+            "highcl_load": format_both(self.highcl_load, p),
             "s_order": list(self.s_order),
-            "lower_bound": both(self.lower_bound),
+            "lower_bound": format_both(self.lower_bound, p),
             "lower_bound_witness": (None if self.lower_bound_witness is None
                                     else sorted(self.lower_bound_witness)),
-            "homogeneous_optimal": both(self.homogeneous_optimal),
-            "gap_to_lower": both(self.gap_to_lower),
-            "gap_to_homogeneous": both(self.gap_to_homogeneous),
+            "homogeneous_optimal": format_both(self.homogeneous_optimal, p),
+            "gap_to_lower": format_both(self.gap_to_lower, p),
+            "gap_to_homogeneous": format_both(self.gap_to_homogeneous, p),
         }
         if self.lower_bound_skipped is not None:
             data["lower_bound_skipped"] = self.lower_bound_skipped

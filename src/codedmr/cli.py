@@ -21,6 +21,7 @@ from .model import (
     FileCountOverflowError,
     FunctionAssignment,
     InternalConsistencyError,
+    format_both,
     format_decimal,
     format_rational,
     load_config,
@@ -35,6 +36,8 @@ EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
 LARGE_COUNT_DISPLAY = 10 ** 9
+# `sweep` refuses grids with more points than this
+SWEEP_POINT_CAP = 10_000
 # `plan` lists sub-batches only up to this many; past it, only the count
 PLAN_LISTING_CAP = 2 ** 16
 
@@ -56,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a profile/assignment JSON file")
     common.add_argument("--precision", type=_precision, default=6,
                         help="decimal digits in rendered values (default 6)")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit JSON output")
-    fmt.add_argument("--csv", action="store_true", help="emit CSV output")
+    common.add_argument("--json", action="store_true",
+                        help="emit JSON from table (other commands have one format)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for synthetic intermediate values")
     common.add_argument("--out", help="write output to this path instead of stdout")
@@ -122,11 +124,6 @@ def _resolve_assignment(args, profile, plan, custom, declared):
     if strategy is None:
         raise ValueError('config must declare "strategy" or "w"')
     return strategy, fa.assignment_for(strategy, profile, plan, custom)
-
-
-def _both(value: Fraction, precision: int) -> dict:
-    return {"exact": format_rational(value),
-            "decimal": format_decimal(value, precision)}
 
 
 def _emit(args, text: str) -> None:
@@ -224,7 +221,7 @@ def cmd_simulate(args) -> int:
         "strategy": strategy,
         "instance": {"N": instance.N, "Q": instance.Q, "T": instance.T,
                      "seed": instance.seed},
-        "analytic_load": _both(analytic, args.precision),
+        "analytic_load": format_both(analytic, args.precision),
         "report": report.to_json(args.precision),
     }
     _emit_json(args, data)
@@ -240,12 +237,12 @@ def _sweep_grid(args, coeffs) -> list[Fraction]:
     lo = parse_rational(args.mbar_min) if args.mbar_min else Fraction(1) / total
     hi = parse_rational(args.mbar_max) if args.mbar_max else Fraction(1) / cmax
     first = -((-lo) // step)  # ceil(lo / step)
-    points = []
-    t = first
-    while t * step <= hi:
-        points.append(t * step)
-        t += 1
-    return points
+    count = max(0, hi // step - first + 1)
+    if count > SWEEP_POINT_CAP:
+        raise DomainError(
+            f"sweep grid has {count} points, above the cap {SWEEP_POINT_CAP}; "
+            "use a larger --step or a narrower --mbar-min/--mbar-max range")
+    return [t * step for t in range(first, first + count)]
 
 
 def cmd_sweep(args) -> int:
@@ -304,7 +301,7 @@ def cmd_bound(args) -> int:
     data = {
         "profile": profile.to_json(),
         "strategy": strategy,
-        "lower_bound": _both(bound, args.precision),
+        "lower_bound": format_both(bound, args.precision),
         "witness": sorted(witness),
     }
     _emit_json(args, data)
@@ -316,9 +313,9 @@ def cmd_gap(args) -> int:
     ratio, regime = analytics.gap_to_homogeneous(profile)
     data = {
         "profile": profile.to_json(),
-        "mbar": _both(profile.mean, args.precision),
+        "mbar": format_both(profile.mean, args.precision),
         "regime": regime,
-        "gap_to_homogeneous": _both(ratio, args.precision),
+        "gap_to_homogeneous": format_both(ratio, args.precision),
         "within_bound": bool(ratio < analytics.HOMOGENEOUS_GAP_BOUND),
     }
     _emit_json(args, data)
@@ -350,7 +347,7 @@ REPORTED_TABLE2 = {
 }
 
 
-def _table1_data(precision: int) -> dict:
+def _table1_data() -> dict:
     columns = {}
     for name, profile in (("m1", presets.profile_k12_m1()),
                           ("m2", presets.profile_k12_m2())):
@@ -432,7 +429,7 @@ def _render_rows(rows: list[dict], columns: list[tuple[str, str]]) -> str:
 
 def cmd_table(args) -> int:
     if args.preset == "table1":
-        data = _table1_data(args.precision)
+        data = _table1_data()
         if args.json:
             _emit_json(args, data)
         else:

@@ -125,6 +125,14 @@ def format_decimal(value: Fraction, precision: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{precision}d}"
 
 
+def format_both(value: Fraction | None, precision: int = 6) -> dict | None:
+    """{"exact", "decimal"} renderings of a value; None passes through."""
+    if value is None:
+        return None
+    return {"exact": format_rational(value),
+            "decimal": format_decimal(value, precision)}
+
+
 @dataclass(frozen=True)
 class ComputationProfile:
     """Per-node map loads, stored sorted non-decreasing.

@@ -8,8 +8,9 @@ one slice of each file's row. Multicast payloads XOR per-recipient blocks
 after zero-padding the shorter blocks at the tail, exactly as the load
 accounting assumes. Decoding rebuilds each component's block once per
 message: it is both the interference other recipients XOR out and the
-reference the recovered bytes must equal. Delivery is tracked as file
-ranges per recipient, which with the node's own files must cover 1..N.
+reference the recovered bytes must equal. A node's Map store is the set of
+file ranges it holds, and delivery is tracked as file ranges per recipient,
+which with the node's own files must cover 1..N.
 """
 
 from __future__ import annotations
@@ -20,8 +21,15 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .allocation import AllocationPlan, MaterializedInstance
-from .model import DecodeFailureError
+from .allocation import (
+    AllocationPlan,
+    MaterializedInstance,
+    build_plan,
+    materialize,
+    minimal_file_count,
+)
+from .assignment import minimal_function_count
+from .model import DecodeFailureError, format_both
 
 UNICAST = "unicast"
 CODED = "coded"
@@ -76,14 +84,14 @@ def unpack_ivs(data: bytes, count: int, T: int) -> list[int]:
     return [_bits(data, i * T, T) for i in range(count)]
 
 
-def run_map(instance: MaterializedInstance) -> dict[int, set[int]]:
+def run_map(instance: MaterializedInstance) -> dict[int, set[range]]:
     """Each node maps its allocated files, yielding Q IVs per file.
 
     IVs are not stored: they are the deterministic function ``iv_value`` of
-    (seed, q, n, T), so a node's Map output is just the set of files it holds.
+    (seed, q, n, T), so a node's Map output is just the set of file ranges
+    it holds: its own batch plus each shared sub-batch.
     """
-    return {k: set(chain.from_iterable(ranges))
-            for k, ranges in instance.files_of.items()}
+    return {k: set(ranges) for k, ranges in instance.files_of.items()}
 
 
 @dataclass(frozen=True)
@@ -215,14 +223,9 @@ class SimulationReport:
     message_log: list[dict] | None = None
 
     def to_json(self, precision: int = 6) -> dict:
-        from .model import format_decimal, format_rational
-
         data = {
             "total_bits": self.total_bits,
-            "measured_load": {
-                "exact": format_rational(self.measured_load),
-                "decimal": format_decimal(self.measured_load, precision),
-            },
+            "measured_load": format_both(self.measured_load, precision),
             "per_sender_bits": {str(k): v for k, v in sorted(self.per_sender_bits.items())},
             "decode_success": {str(k): v for k, v in sorted(self.decode_success.items())},
             "message_count": self.message_count,
@@ -237,8 +240,7 @@ class SimulationReport:
 
 def run_reduce(
     instance: MaterializedInstance,
-    plan: AllocationPlan,
-    stores: Mapping[int, set[int]],
+    stores: Mapping[int, set[range]],
     messages: Sequence[ShuffleMessage],
     strict: bool = True,
     log_messages: bool = False,
@@ -246,11 +248,16 @@ def run_reduce(
     """Decode every message at its recipients and verify full recovery.
 
     Each component's ground-truth block is built once per message. A
-    recipient checks that its Map store holds the other components' files,
-    XORs their blocks out of the zero-padded payload, truncates to its own
-    block length and compares the result with its own block byte for byte.
-    Afterwards each node's delivered file ranges, with the files it maps,
-    must cover 1..N.
+    recipient checks that its Map store holds the other components' file
+    ranges, XORs their blocks out of the zero-padded payload, truncates to
+    its own block length and compares the result with its own block byte
+    for byte. Afterwards each node's delivered file ranges, with the files
+    it maps, must cover 1..N.
+
+    Range membership is exact: in a coded message from sender s to psi,
+    recipient i's component is the whole sub-batch (s, psi - {i}), and
+    every other recipient maps it as one element of ``files_of``, never
+    inside its own batch, since s is not in psi.
     """
     N, Q, T, seed = instance.N, instance.Q, instance.T, instance.seed
     K = instance.K
@@ -286,9 +293,8 @@ def run_reduce(
             for o, (other, other_bits) in enumerate(zip(live, interference)):
                 if o == j:
                     continue
-                if not store.issuperset(other.files):
-                    missing = next(n for n in other.files if n not in store)
-                    fail(i, other.functions.start, missing,
+                if other.files not in store:
+                    fail(i, other.functions.start, other.files.start,
                          "side-information file absent from Map store")
                     break
                 cancelled ^= other_bits
@@ -348,17 +354,14 @@ def simulate(
 
     Returns (instance, plan, report).
     """
-    from . import allocation as alloc
-    from .assignment import minimal_function_count
-
-    plan = alloc.build_plan(profile)
+    plan = build_plan(profile)
     if N is None:
-        N = alloc.minimal_file_count(plan)
+        N = minimal_file_count(plan)
     if Q is None:
         Q = minimal_function_count(assignment)
-    instance = alloc.materialize(plan, assignment, N=N, Q=Q, T=T, seed=seed)
+    instance = materialize(plan, assignment, N=N, Q=Q, T=T, seed=seed)
     stores = run_map(instance)
     messages = build_shuffle(instance, plan)
-    report = run_reduce(instance, plan, stores, messages,
+    report = run_reduce(instance, stores, messages,
                         strict=strict, log_messages=log_messages)
     return instance, plan, report

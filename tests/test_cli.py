@@ -1,9 +1,12 @@
+import argparse
 import csv
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedmr import cli
 from codedmr.model import parse_rational
@@ -80,6 +83,12 @@ class TestPlan:
         assert err.value.code == 2
         assert ("argument --precision: must be a non-negative integer, got '-1'"
                 in capsys.readouterr().err)
+
+    def test_csv_flag_rejected_at_parsing(self, capsys, config_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["load", "--config", config_path(WORKED_CONFIG), "--csv"])
+        assert err.value.code == 2
+        assert "--csv" in capsys.readouterr().err
 
     def test_wrong_length_w_is_config_error_exit_2(self, capsys, config_path):
         cfg = {"m": ["1/2", "1/2"], "w": ["1"], "strategy": "custom"}
@@ -234,6 +243,30 @@ class TestSweep:
         assert cli.main(["sweep"]) == 2
         assert cli.main(["sweep", "--preset", "fig2-k3",
                          "--coeffs", "1,1"]) == 2
+
+    def test_oversized_grid_refused_in_bounded_time(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["sweep", "--preset", "fig2-k12", "--step", "1e-6"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "784459 points" in captured.err
+        assert str(cli.SWEEP_POINT_CAP) in captured.err
+
+    @settings(deadline=None)
+    @given(st.fractions(0, 2, max_denominator=50),
+           st.fractions(0, 2, max_denominator=50),
+           st.fractions(Fraction(1, 200), 1, max_denominator=200))
+    def test_grid_count_matches_stepping(self, lo, hi, step):
+        args = argparse.Namespace(step=str(step), mbar_min=str(lo),
+                                  mbar_max=str(hi))
+        expected = []
+        t = -((-lo) // step)
+        while t * step <= hi:
+            expected.append(t * step)
+            t += 1
+        assert cli._sweep_grid(args, [Fraction(1)]) == expected
 
     def test_custom_coeffs(self, capsys):
         code = cli.main(["sweep", "--coeffs", "0.9,1,1.1", "--step", "0.05",

@@ -12,6 +12,7 @@ from codedmr.model import (
     LoadOutOfRangeError,
     NegativeFractionError,
     config_from_json,
+    format_both,
     format_decimal,
     format_rational,
     parse_rational,
@@ -76,6 +77,13 @@ class TestFormatDecimal:
         text = format_decimal(x, precision)
         assert parse_rational(text) == round(x, precision)
         assert len(text.partition(".")[2]) == precision
+
+    def test_both_renderings_and_none(self):
+        assert format_both(Fraction(4171, 7260), 3) == {
+            "exact": "4171/7260", "decimal": "0.575"}
+        assert format_both(Fraction(1, 4)) == {
+            "exact": "1/4", "decimal": "0.250000"}
+        assert format_both(None, 3) is None
 
 
 class TestValidateProfile:

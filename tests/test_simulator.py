@@ -2,6 +2,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -134,7 +135,7 @@ class TestRunMap:
         plan = build_plan(p)
         inst = materialize(plan, even_assignment(2), N=2, Q=2, T=8)
         stores = run_map(inst)
-        assert stores == {1: {1}, 2: {2}}
+        assert stores == {1: {range(1, 2)}, 2: {range(2, 3)}}
 
     def test_store_sizes(self):
         plan = build_plan(WORKED)
@@ -142,7 +143,52 @@ class TestRunMap:
         inst = materialize(plan, WORKED_W, N=N, Q=24, T=8)
         stores = run_map(inst)
         for k in range(1, 5):
-            assert len(stores[k]) == WORKED.m[k - 1] * N
+            assert len(stores[k]) == len(inst.files_of[k])
+            assert stores[k] == set(inst.files_of[k])
+            assert sum(map(len, stores[k])) == WORKED.m[k - 1] * N
+
+
+class TestMapStoreMembership:
+    @staticmethod
+    def side_information(msgs):
+        """(recipient, component) for every ordered pair of distinct live
+        components of a message: the recipient must hold the component."""
+        for msg in msgs:
+            live = [c for c in msg.components if c.bit_length]
+            for ci in live:
+                for cj in live:
+                    if cj is not ci:
+                        yield ci.recipient, cj
+
+    @staticmethod
+    def answers(stores, pairs):
+        """Range membership and the per-file check over the store's union."""
+        held = {k: set(chain.from_iterable(store))
+                for k, store in stores.items()}
+        return [(component.files in stores[k],
+                 held[k].issuperset(component.files))
+                for k, component in pairs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_simulations(), st.data())
+    def test_range_check_equals_per_file_check(self, case, data):
+        p, plan, w, T, seed = case
+        inst = materialize(plan, w, N=minimal_file_count(plan, cap=None),
+                           Q=minimal_function_count(w), T=T, seed=seed)
+        stores = run_map(inst)
+        pairs = list(self.side_information(build_shuffle(inst, plan)))
+        assert all(a and b for a, b in self.answers(stores, pairs))
+
+        shared = [(k, files) for k, ranges in inst.files_of.items()
+                  for files in ranges[1:]]
+        if not shared:
+            return
+        k, withheld = data.draw(st.sampled_from(shared))
+        stores[k] -= {withheld}
+        for (node, component), (a, b) in zip(
+                pairs, self.answers(stores, pairs)):
+            assert a == b
+            assert a == (node != k or component.files != withheld)
 
 
 class TestBuildShuffle:
@@ -254,12 +300,12 @@ class TestRunReduce:
                      if m.kind == CODED and len(m.recipients) >= 2)
         victim = coded.components[0].recipient
         interfering = coded.components[1]
-        stores[victim] -= set(interfering.files)
+        stores[victim] -= {interfering.files}
         with pytest.raises(DecodeFailureError) as err:
-            run_reduce(inst, plan, stores, msgs)
+            run_reduce(inst, stores, msgs)
         assert err.value.node == victim
-        assert err.value.n in interfering.files
-        assert err.value.q in interfering.functions
+        assert err.value.n == interfering.files.start
+        assert err.value.q == interfering.functions.start
 
     def test_non_strict_mode_records_failures(self):
         p = validate_profile(["3/5", "2/3", "11/15"])
@@ -271,8 +317,8 @@ class TestRunReduce:
         coded = next(m for m in msgs
                      if m.kind == CODED and len(m.recipients) >= 2)
         victim = coded.components[0].recipient
-        stores[victim] -= set(coded.components[1].files)
-        report = run_reduce(inst, plan, stores, msgs, strict=False)
+        stores[victim] -= {coded.components[1].files}
+        report = run_reduce(inst, stores, msgs, strict=False)
         assert report.decode_success[victim] is False
         assert any(node == victim for node, _, _, _ in report.failures)
         others = [k for k in report.decode_success if k != victim]
@@ -298,11 +344,11 @@ class TestRunReduce:
         q, n = list(victim.pairs())[bit // T]
 
         with pytest.raises(DecodeFailureError) as err:
-            run_reduce(inst, plan, stores, msgs)
+            run_reduce(inst, stores, msgs)
         assert "recovered IV differs from ground truth" in str(err.value)
         assert (err.value.node, err.value.q, err.value.n) == (victim.recipient, q, n)
 
-        report = run_reduce(inst, plan, stores, msgs, strict=False)
+        report = run_reduce(inst, stores, msgs, strict=False)
         assert report.failures[0] == (
             victim.recipient, q, n, "recovered IV differs from ground truth")
         assert {node for node, _, _, _ in report.failures} == {victim.recipient}
@@ -319,7 +365,7 @@ class TestRunReduce:
         msgs.remove(dropped)
         component, = dropped.components
         with pytest.raises(DecodeFailureError) as err:
-            run_reduce(inst, plan, stores, msgs)
+            run_reduce(inst, stores, msgs)
         assert "IV never delivered" in str(err.value)
         first_q, first_n = next(component.pairs())
         assert (err.value.node, err.value.q, err.value.n) == (
