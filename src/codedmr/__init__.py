@@ -36,7 +36,6 @@ from .model import (
     ComputationProfile,
     DecodeFailureError,
     DomainError,
-    FileCountOverflowError,
     FunctionAssignment,
     IndivisibleInstanceError,
     InstanceTooLargeError,

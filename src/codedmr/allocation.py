@@ -16,14 +16,14 @@ from typing import Mapping
 from .model import (
     ComputationProfile,
     FunctionAssignment,
-    FileCountOverflowError,
     IndivisibleInstanceError,
     InstanceTooLargeError,
     format_rational,
 )
 
-DEFAULT_FILE_COUNT_CAP = 2 ** 62
-DEFAULT_MATERIALIZE_CAP = 5_000_000
+# `materialize` refuses more files than this, and more IV bits N*Q*T
+MATERIALIZE_FILE_CAP = 5_000_000
+MATERIALIZE_BIT_CAP = 2 ** 32
 
 SubbatchKey = tuple[int, tuple[int, ...]]
 
@@ -133,7 +133,7 @@ def build_plan(profile: ComputationProfile) -> AllocationPlan:
     return AllocationPlan(l=l, r=r, xi=xi, P=surplus_ratios(l, profile.m))
 
 
-def minimal_file_count(plan: AllocationPlan, cap: int | None = DEFAULT_FILE_COUNT_CAP) -> int:
+def minimal_file_count(plan: AllocationPlan) -> int:
     """Least N for which every sub-batch holds an integer number of files.
 
     This is the LCM of the lowest-terms denominators of all nonzero sub-batch
@@ -141,19 +141,12 @@ def minimal_file_count(plan: AllocationPlan, cap: int | None = DEFAULT_FILE_COUN
     den(P_i), P_i and 1 - P_i both have p-adic valuation -v_p(den P_i); for
     any other p, neither is negative and at most one is positive. So the
     largest denominator over owner k's subsets is den(l_k / prod_{i != k}
-    den P_i). Raises FileCountOverflowError (carrying the exact value) when
-    the result exceeds ``cap``; pass cap=None to disable the guard.
+    den P_i).
     """
     dens = [p.denominator for p in plan.P]
     total = math.prod(dens)
-    value = math.lcm(*((lk * d / total).denominator
-                       for lk, d in zip(plan.l, dens) if lk != 0))
-    if cap is not None and value > cap:
-        raise FileCountOverflowError(
-            f"minimal file count {format_factored(value)} exceeds cap {cap}",
-            value=value,
-        )
-    return value
+    return math.lcm(*((lk * d / total).denominator
+                      for lk, d in zip(plan.l, dens) if lk != 0))
 
 
 def file_count_estimate(plan: AllocationPlan) -> Fraction:
@@ -235,17 +228,18 @@ def materialize(
     Q: int,
     T: int = 32,
     seed: int = 0,
-    max_files: int = DEFAULT_MATERIALIZE_CAP,
 ) -> MaterializedInstance:
     """Assign concrete file and function index ranges for an (N, Q) instance.
 
     N must be a multiple of the minimal file count and Q a multiple of the
     assignment's minimal function count, so that every sub-batch and every
-    function share is an exact integer.
+    function share is an exact integer. N is capped at MATERIALIZE_FILE_CAP
+    and the IV data N*Q*T at MATERIALIZE_BIT_CAP bits, which bounds what the
+    simulator hashes and holds.
     """
     if plan.K != assignment.K:
         raise ValueError("plan and assignment disagree on node count")
-    min_n = minimal_file_count(plan, cap=None)
+    min_n = minimal_file_count(plan)
     if N <= 0 or N % min_n != 0:
         raise IndivisibleInstanceError(
             f"N={N} is not a positive multiple of the minimal file count {min_n}",
@@ -257,10 +251,14 @@ def materialize(
             f"Q={Q} is not a positive multiple of the minimal function count {min_q}",
             minimal_functions=min_q,
         )
-    if N > max_files:
+    if N > MATERIALIZE_FILE_CAP:
         raise InstanceTooLargeError(
-            f"N={N} exceeds the materialization cap {max_files}; "
+            f"N={N} exceeds the materialization cap {MATERIALIZE_FILE_CAP}; "
             "analytic evaluation remains available")
+    if N * Q * T > MATERIALIZE_BIT_CAP:
+        raise InstanceTooLargeError(
+            f"N*Q*T={N * Q * T} IV bits exceed the materialization cap "
+            f"{MATERIALIZE_BIT_CAP}; use fewer functions or bits per IV")
     if T <= 0:
         raise ValueError("T must be a positive bit width")
 

@@ -13,9 +13,6 @@ from .model import (
     validate_assignment,
 )
 
-STRATEGIES = ("even", "computation", "shuffle", "custom")
-
-
 def even_assignment(K: int) -> FunctionAssignment:
     """Every node reduces the same share 1/K of the output functions."""
     if K < 2:

@@ -16,10 +16,8 @@ from fractions import Fraction
 
 from . import allocation, analytics, assignment as fa, presets, simulator
 from .model import (
-    ComputationProfile,
+    STRATEGIES,
     DomainError,
-    FileCountOverflowError,
-    FunctionAssignment,
     InternalConsistencyError,
     format_both,
     format_decimal,
@@ -40,6 +38,8 @@ LARGE_COUNT_DISPLAY = 10 ** 9
 SWEEP_POINT_CAP = 10_000
 # `plan` lists sub-batches only up to this many; past it, only the count
 PLAN_LISTING_CAP = 2 ** 16
+# `plan` reports a larger minimal file count only symbolically
+PLAN_FILE_COUNT_CAP = 2 ** 62
 
 
 def _precision(text: str) -> int:
@@ -54,16 +54,21 @@ def _precision(text: str) -> int:
     return value
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, shared by the commands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a profile/assignment JSON file")
-    common.add_argument("--precision", type=_precision, default=6,
-                        help="decimal digits in rendered values (default 6)")
-    common.add_argument("--json", action="store_true",
-                        help="emit JSON from table (other commands have one format)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for synthetic intermediate values")
-    common.add_argument("--out", help="write output to this path instead of stdout")
+    config = _flag("--config", required=True,
+                   help="path to a profile/assignment JSON file")
+    precision = _flag("--precision", type=_precision, default=6,
+                      help="decimal digits in rendered values (default 6)")
+    strategy = _flag("--strategy", choices=STRATEGIES,
+                     help="overrides the strategy in the config")
+    out = _flag("--out", help="write output to this path instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="codedmr",
@@ -71,24 +76,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "on heterogeneous nodes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("plan", parents=[common],
+    sub.add_parser("plan", parents=[config, out],
                    help="file allocation plan plus minimal instance sizes")
 
-    p_load = sub.add_parser("load", parents=[common],
-                            help="analytic load report for one assignment")
-    p_load.add_argument("--strategy", choices=fa.STRATEGIES,
-                        help="overrides the strategy in the config")
+    sub.add_parser("load", parents=[config, precision, strategy, out],
+                   help="analytic load report for one assignment")
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[config, precision, strategy, out],
                            help="run Map/Shuffle/Reduce and measure the load")
-    p_sim.add_argument("--strategy", choices=fa.STRATEGIES)
     p_sim.add_argument("--files", type=int, help="file count N (default minimal)")
     p_sim.add_argument("--functions", type=int, help="function count Q (default minimal)")
     p_sim.add_argument("--iv-bits", type=int, default=32,
                        help="bits per intermediate value (default 32)")
+    p_sim.add_argument("--seed", type=int, default=0,
+                       help="seed for synthetic intermediate values")
     p_sim.add_argument("--transcript", help="write per-message JSONL records here")
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[precision, out],
                              help="CSV of loads across scaled profiles")
     p_sweep.add_argument("--preset", choices=sorted(presets.SWEEP_COEFFS),
                          help="named coefficient vector")
@@ -97,30 +101,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mbar-min", dest="mbar_min", help="grid start")
     p_sweep.add_argument("--mbar-max", dest="mbar_max", help="grid end")
 
-    p_bound = sub.add_parser("bound", parents=[common],
-                             help="cut-set lower bound with maximizing subset")
-    p_bound.add_argument("--strategy", choices=fa.STRATEGIES)
+    sub.add_parser("bound", parents=[config, precision, strategy, out],
+                   help="cut-set lower bound with maximizing subset")
 
-    sub.add_parser("gap", parents=[common],
+    sub.add_parser("gap", parents=[config, precision, out],
                    help="multiplicative gap to the equivalent homogeneous optimum")
 
-    p_table = sub.add_parser("table", parents=[common],
+    p_table = sub.add_parser("table", parents=[out],
                              help="benchmark table reproduction")
     p_table.add_argument("--preset", choices=("table1", "table2"), required=True)
+    p_table.add_argument("--json", action="store_true",
+                         help="emit JSON instead of a text table")
 
     return parser
 
 
-def _require_config(args) -> tuple[ComputationProfile, FunctionAssignment | None, str | None]:
-    if not args.config:
-        raise ValueError("this command requires --config")
-    return load_config(args.config)
-
-
 def _resolve_assignment(args, profile, plan, custom, declared):
-    strategy = getattr(args, "strategy", None) or declared
-    if strategy is None:
-        strategy = "custom" if custom is not None else None
+    strategy = args.strategy or declared or ("custom" if custom is not None else None)
     if strategy is None:
         raise ValueError('config must declare "strategy" or "w"')
     return strategy, fa.assignment_for(strategy, profile, plan, custom)
@@ -139,14 +136,11 @@ def _emit_json(args, data: dict) -> None:
 
 
 def _file_count_fields(plan) -> dict:
-    fields: dict = {}
-    try:
-        value = allocation.minimal_file_count(plan)
-        fields["minimal_files"] = value
-    except FileCountOverflowError as exc:
-        value = exc.value
-        fields["minimal_files"] = None
-        fields["minimal_files_overflow"] = True
+    value = allocation.minimal_file_count(plan)
+    if value > PLAN_FILE_COUNT_CAP:
+        fields = {"minimal_files": None, "minimal_files_overflow": True}
+    else:
+        fields = {"minimal_files": value}
     fields["minimal_files_symbolic"] = allocation.format_factored(value)
     fields["minimal_files_estimate"] = format_rational(
         allocation.file_count_estimate(plan))
@@ -154,7 +148,7 @@ def _file_count_fields(plan) -> dict:
 
 
 def cmd_plan(args) -> int:
-    profile, custom, _ = _require_config(args)
+    profile, custom, _ = load_config(args.config)
     plan = allocation.build_plan(profile)
     count = allocation.subbatch_count(plan.l, plan.P)
     if count > PLAN_LISTING_CAP:
@@ -187,7 +181,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_load(args) -> int:
-    profile, custom, declared = _require_config(args)
+    profile, custom, declared = load_config(args.config)
     plan = allocation.build_plan(profile)
     strategy, w = _resolve_assignment(args, profile, plan, custom, declared)
     report = analytics.build_load_report(profile, plan, w)
@@ -202,16 +196,12 @@ def cmd_load(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    profile, custom, declared = _require_config(args)
+    profile, custom, declared = load_config(args.config)
     plan = allocation.build_plan(profile)
     strategy, w = _resolve_assignment(args, profile, plan, custom, declared)
     instance, plan, report = simulator.simulate(
         profile, w, N=args.files, Q=args.functions, T=args.iv_bits,
         seed=args.seed, log_messages=bool(args.transcript))
-    analytic = analytics.achievable_load(profile, plan, w).total
-    if report.measured_load != analytic:
-        raise InternalConsistencyError(
-            f"measured load {report.measured_load} != analytic {analytic}")
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             for record in report.message_log or []:
@@ -221,7 +211,8 @@ def cmd_simulate(args) -> int:
         "strategy": strategy,
         "instance": {"N": instance.N, "Q": instance.Q, "T": instance.T,
                      "seed": instance.seed},
-        "analytic_load": format_both(analytic, args.precision),
+        "analytic_load": format_both(
+            analytics.achievable_load(profile, plan, w).total, args.precision),
         "report": report.to_json(args.precision),
     }
     _emit_json(args, data)
@@ -294,7 +285,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    profile, custom, declared = _require_config(args)
+    profile, custom, declared = load_config(args.config)
     plan = allocation.build_plan(profile)
     strategy, w = _resolve_assignment(args, profile, plan, custom, declared)
     bound, witness = analytics.lower_bound(profile, w)
@@ -309,7 +300,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    profile, _, _ = _require_config(args)
+    profile, _, _ = load_config(args.config)
     ratio, regime = analytics.gap_to_homogeneous(profile)
     data = {
         "profile": profile.to_json(),
@@ -390,10 +381,7 @@ def _table2_data() -> dict:
                              ("K=12 profile-1", presets.profile_k12_m1()),
                              ("K=12 profile-2", presets.profile_k12_m2())):
         plan = allocation.build_plan(profile)
-        try:
-            min_n = allocation.minimal_file_count(plan)
-        except FileCountOverflowError as exc:
-            min_n = exc.value
+        min_n = allocation.minimal_file_count(plan)
         rows = [
             {"scheme": scheme, "files": files, "functions": functions,
              "status": "reported, not reproduced"}

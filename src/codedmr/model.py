@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+# function-assignment strategies a config or `--strategy` may name
+STRATEGIES = ("even", "computation", "shuffle", "custom")
+
 
 class DomainError(ValueError):
     """An input describes an infeasible or out-of-domain configuration."""
@@ -52,17 +55,6 @@ class IndivisibleInstanceError(DomainError):
         super().__init__(message)
         self.minimal_files = minimal_files
         self.minimal_functions = minimal_functions
-
-
-class FileCountOverflowError(DomainError):
-    """The minimal file count exceeds the configured cap.
-
-    Carries the exact value so callers can still report it symbolically.
-    """
-
-    def __init__(self, message: str, value: int):
-        super().__init__(message)
-        self.value = value
 
 
 class InstanceTooLargeError(DomainError):
@@ -247,7 +239,7 @@ def config_from_json(data: dict) -> tuple[ComputationProfile, FunctionAssignment
         raise ValueError(
             f'config key "K"={data["K"]} disagrees with len(m)={profile.K}')
     strategy = data.get("strategy")
-    if strategy is not None and strategy not in ("even", "computation", "shuffle", "custom"):
+    if strategy is not None and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     assignment = None
     w_raw = data.get("w")

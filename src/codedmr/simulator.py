@@ -28,8 +28,9 @@ from .allocation import (
     materialize,
     minimal_file_count,
 )
+from .analytics import achievable_load
 from .assignment import minimal_function_count
-from .model import DecodeFailureError, format_both
+from .model import DecodeFailureError, InternalConsistencyError, format_both
 
 UNICAST = "unicast"
 CODED = "coded"
@@ -61,9 +62,6 @@ def iv_value(seed: int, q: int, n: int, T: int) -> int:
 
 def pack_ivs(values: Iterable[int], T: int) -> bytes:
     """Concatenate T-bit values MSB-first; the last byte is zero-padded."""
-    if T % 8 == 0:
-        width = T // 8
-        return b"".join(v.to_bytes(width, "big") for v in values)
     out = bytearray()
     acc = 0
     bits = 0
@@ -352,7 +350,8 @@ def simulate(
 ):
     """Materialize (at minimal N, Q unless given), run all three phases.
 
-    Returns (instance, plan, report).
+    Returns (instance, plan, report). Raises InternalConsistencyError if the
+    measured load differs from the analytic achievable load.
     """
     plan = build_plan(profile)
     if N is None:
@@ -364,4 +363,8 @@ def simulate(
     messages = build_shuffle(instance, plan)
     report = run_reduce(instance, stores, messages,
                         strict=strict, log_messages=log_messages)
+    analytic = achievable_load(profile, plan, assignment).total
+    if report.measured_load != analytic:
+        raise InternalConsistencyError(
+            f"measured load {report.measured_load} != analytic {analytic}")
     return instance, plan, report

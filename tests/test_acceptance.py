@@ -112,7 +112,7 @@ def test_criterion_4_minimal_instance_sizes():
         assert minimal_function_count(computation_aware(K12_M1)) == 18
         assert minimal_function_count(computation_aware(K12_M2)) == 24
         plan_m1 = build_plan(K12_M1)
-        value = minimal_file_count(plan_m1, cap=None)
+        value = minimal_file_count(plan_m1)
         assert value == 12 * 11 ** 11
         from codedmr.allocation import format_factored
         assert format_factored(value) == "2^2 * 3 * 11^11"

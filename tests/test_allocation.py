@@ -9,6 +9,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from codedmr.allocation import (
+    MATERIALIZE_BIT_CAP,
     build_plan,
     canonical_subbatch_order,
     file_count_estimate,
@@ -21,7 +22,6 @@ from codedmr.allocation import (
     surplus_ratios,
 )
 from codedmr.model import (
-    FileCountOverflowError,
     IndivisibleInstanceError,
     InstanceTooLargeError,
     validate_assignment,
@@ -129,7 +129,7 @@ class TestMinimalFileCount:
 
     def test_k12_mixed(self):
         p = validate_profile([Fraction(1, 6)] * 6 + [Fraction(1, 3)] * 6)
-        assert minimal_file_count(build_plan(p), cap=None) == 12 * 11 ** 11
+        assert minimal_file_count(build_plan(p)) == 12 * 11 ** 11
 
     @settings(max_examples=300, deadline=None)
     @example(["1/5", "1/3", "1/3", "1/2"])  # r = 1: P_1 = 0
@@ -141,20 +141,15 @@ class TestMinimalFileCount:
         event("r > 0" if plan.r else "r = 0")
         table = subbatch_fractions(plan.l, plan.P)
         expected = math.lcm(*(frac.denominator for frac in table.values()))
-        assert minimal_file_count(plan, cap=None) == expected
+        assert minimal_file_count(plan) == expected
 
     def test_closed_form_at_k64_is_fast(self):
         p = validate_profile([Fraction(k, 2 * k + 1) for k in range(1, 65)])
         plan = build_plan(p)
         start = time.perf_counter()
-        value = minimal_file_count(plan, cap=None)
+        value = minimal_file_count(plan)
         assert time.perf_counter() - start < 1.0
         assert all((lk * value).denominator == 1 for lk in plan.l)
-
-    def test_overflow_guard_carries_value(self):
-        with pytest.raises(FileCountOverflowError) as err:
-            minimal_file_count(build_plan(HETERO3), cap=10)
-        assert err.value.value == 150
 
     def test_estimate_values(self):
         # r=1: 1/(l_1 * prod_{k>1} min(P_k, 1-P_k))
@@ -223,8 +218,26 @@ class TestMaterialize:
     def test_too_large_refused(self):
         plan = build_plan(HETERO3)
         w = validate_assignment(["3/10", "1/3", "11/30"], 3)
-        with pytest.raises(InstanceTooLargeError):
-            materialize(plan, w, N=150_000, Q=30, max_files=100_000)
+        with pytest.raises(InstanceTooLargeError) as err:
+            materialize(plan, w, N=5_000_100, Q=30)
+        assert "N=5000100 exceeds the materialization cap 5000000" in str(err.value)
+
+    def test_iv_bits_capped(self):
+        plan = build_plan(HETERO3)
+        w = validate_assignment(["3/10", "1/3", "11/30"], 3)
+        T = MATERIALIZE_BIT_CAP // (150 * 30)
+        assert materialize(plan, w, N=150, Q=30, T=T).T == T
+        with pytest.raises(InstanceTooLargeError) as err:
+            materialize(plan, w, N=150, Q=30, T=T + 1)
+        assert str(MATERIALIZE_BIT_CAP) in str(err.value)
+
+    def test_worked_example_at_100x_minimal_files(self):
+        # the bit cap admits the worked example's Q=24, T=32 up to the file cap
+        plan = build_plan(WORKED)
+        w = validate_assignment(["1/8", "1/4", "1/6", "11/24"], 4)
+        inst = materialize(plan, w, N=100 * 39930, Q=24, T=32)
+        assert inst.N == 3_993_000
+        assert sum(map(len, inst.subbatch_files.values())) == inst.N
 
     def test_every_file_in_exactly_one_subbatch(self):
         plan = build_plan(HETERO3)

@@ -354,9 +354,9 @@ class TestLowerBound:
             assert (1 - m_sum) * w_sum == bound
 
     def test_cap(self):
-        p = random_profile(random.Random(40), kmin=5, kmax=5)
+        p = random_profile(random.Random(40), kmin=25, kmax=25)
         with pytest.raises(TooManyNodesError):
-            lower_bound(p, even_assignment(5), cap=4)
+            lower_bound(p, even_assignment(25))
 
     @settings(max_examples=300, deadline=None)
     @example((validate_profile(["1/2", "1/2"]),

@@ -34,6 +34,45 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+# every option a subcommand accepts is one its cmd_* reads
+OPTIONS = {
+    "plan": ["--config", "--out"],
+    "load": ["--config", "--out", "--precision", "--strategy"],
+    "simulate": ["--config", "--files", "--functions", "--iv-bits", "--out",
+                 "--precision", "--seed", "--strategy", "--transcript"],
+    "sweep": ["--coeffs", "--mbar-max", "--mbar-min", "--out", "--precision",
+              "--preset", "--step"],
+    "bound": ["--config", "--out", "--precision", "--strategy"],
+    "gap": ["--config", "--out", "--precision"],
+    "table": ["--json", "--out", "--preset"],
+}
+
+
+class TestOptions:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        sub, = (action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+        found = {
+            name: sorted(option for action in parser._actions
+                         for option in action.option_strings
+                         if option not in ("-h", "--help"))
+            for name, parser in sub.choices.items()}
+        assert found == OPTIONS
+        assert sum(map(len, found.values())) == 32
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--config", "x", "--seed", "1"],
+        ["gap", "--config", "x", "--json"],
+        ["table", "--preset", "table1", "--config", "x"],
+        ["sweep", "--preset", "fig2-k3", "--config", "x"],
+    ], ids=["plan-seed", "gap-json", "table-config", "sweep-config"])
+    def test_unread_option_rejected_at_parsing(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestPlan:
     def test_worked_example(self, capsys, config_path):
         code, data = run_json(capsys, ["plan", "--config", config_path(WORKED_CONFIG)])
@@ -67,6 +106,17 @@ class TestPlan:
         assert data["plan"]["subbatch"] is None
         assert data["plan"]["subbatch_count"] == count
 
+    def test_minimal_files_past_cap_reported_symbolically(self, capsys, config_path):
+        cfg = {"m": ["1/2"] * 16}
+        code, data = run_json(capsys, ["plan", "--config", config_path(cfg)])
+        assert code == 0
+        assert 16 * 15 ** 15 > cli.PLAN_FILE_COUNT_CAP
+        assert data["minimal_files"] is None
+        assert data["minimal_files_overflow"] is True
+        assert data["minimal_files_symbolic"] == "2^4 * 3^15 * 5^15"
+        code, data = run_json(capsys, ["plan", "--config", config_path(WORKED_CONFIG)])
+        assert "minimal_files_overflow" not in data
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -74,11 +124,14 @@ class TestPlan:
         assert "error" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, capsys):
-        assert cli.main(["plan"]) == 2
+        with pytest.raises(SystemExit) as err:
+            cli.main(["plan"])
+        assert err.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_negative_precision_rejected_at_parsing(self, capsys, config_path):
         with pytest.raises(SystemExit) as err:
-            cli.main(["plan", "--config", config_path(WORKED_CONFIG),
+            cli.main(["load", "--config", config_path(WORKED_CONFIG),
                       "--precision", "-1"])
         assert err.value.code == 2
         assert ("argument --precision: must be a non-negative integer, got '-1'"
@@ -170,8 +223,19 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", config_path(cfg)])
         assert time.perf_counter() - start < 1.0
         assert code == 1
-        assert ("minimal file count 2^4 * 3^15 * 5^15 exceeds cap"
+        assert (f"N={16 * 15 ** 15} exceeds the materialization cap 5000000"
                 in capsys.readouterr().err)
+
+    def test_huge_iv_width_refused_in_bounded_time(self, capsys, config_path):
+        cfg = {"m": ["1/2", "1/2"], "strategy": "even"}
+        start = time.perf_counter()
+        code = cli.main(["simulate", "--config", config_path(cfg),
+                         "--iv-bits", "10000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "N*Q*T=40000000000 IV bits exceed the materialization cap" in captured.err
 
     def test_transcript(self, capsys, config_path, tmp_path):
         cfg = {"m": ["1/2", "1/2"], "strategy": "even"}
@@ -185,19 +249,16 @@ class TestSimulate:
         assert all(rec["kind"] == "unicast" for rec in records)
 
     def test_internal_consistency_exit_3(self, capsys, config_path, monkeypatch):
-        from codedmr import simulator
-
-        real = simulator.simulate
-
-        def broken(*args, **kwargs):
-            instance, plan, report = real(*args, **kwargs)
-            report.measured_load += 1
-            return instance, plan, report
-
-        monkeypatch.setattr(cli.simulator, "simulate", broken)
+        # a duplicated message still decodes; simulate() catches the extra bits
+        real = cli.simulator.build_shuffle
+        monkeypatch.setattr(cli.simulator, "build_shuffle",
+                            lambda inst, plan: (msgs := real(inst, plan)) + msgs[:1])
         cfg = {"m": ["1/2", "1/2"], "strategy": "even"}
         assert cli.main(["simulate", "--config", config_path(cfg)]) == 3
-        assert "internal error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("internal error: measured load 3/4 != analytic 1/2"
+                in captured.err)
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from codedmr import simulator
 from codedmr.allocation import build_plan, materialize, minimal_file_count
 from codedmr.analytics import achievable_load
 from codedmr.assignment import (
@@ -19,6 +20,7 @@ from codedmr.model import (
     DecodeFailureError,
     DomainError,
     FunctionAssignment,
+    InternalConsistencyError,
     validate_assignment,
     validate_profile,
 )
@@ -62,7 +64,7 @@ def small_simulations(draw):
     except DomainError:
         assume(False)
     plan = build_plan(p)
-    n_min = minimal_file_count(plan, cap=None)
+    n_min = minimal_file_count(plan)
     strategy = draw(st.sampled_from(["even", "computation", "shuffle", "custom"]))
     if strategy == "shuffle" and p.total == 1:
         strategy = "even"
@@ -173,7 +175,7 @@ class TestMapStoreMembership:
     @given(small_simulations(), st.data())
     def test_range_check_equals_per_file_check(self, case, data):
         p, plan, w, T, seed = case
-        inst = materialize(plan, w, N=minimal_file_count(plan, cap=None),
+        inst = materialize(plan, w, N=minimal_file_count(plan),
                            Q=minimal_function_count(w), T=T, seed=seed)
         stores = run_map(inst)
         pairs = list(self.side_information(build_shuffle(inst, plan)))
@@ -270,7 +272,7 @@ class TestRunReduce:
         while done < 200:
             p = random_profile(rng, kmax=5, denom_max=8)
             plan = build_plan(p)
-            n_min = minimal_file_count(plan, cap=None)
+            n_min = minimal_file_count(plan)
             if n_min > 3000:
                 continue
             strategy = rng.choice(["even", "computation", "shuffle", "custom"])
@@ -378,6 +380,16 @@ class TestRunReduce:
         _, plan, report = simulate(p, w, T=T, seed=seed)
         assert all(report.decode_success.values())
         assert report.measured_load == achievable_load(p, plan, w).total
+
+    def test_duplicated_message_is_an_internal_inconsistency(self, monkeypatch):
+        # decoding still succeeds, but the measured load counts the copy
+        real = simulator.build_shuffle
+        monkeypatch.setattr(simulator, "build_shuffle",
+                            lambda inst, plan: (msgs := real(inst, plan)) + msgs[:1])
+        p = validate_profile(["1/2", "1/2"])
+        with pytest.raises(InternalConsistencyError) as err:
+            simulate(p, even_assignment(2), T=8, seed=1)
+        assert str(err.value) == "measured load 3/4 != analytic 1/2"
 
     def test_message_log(self):
         p = validate_profile(["1/2", "1/2"])
