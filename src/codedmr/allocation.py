@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping
 
 from .model import (
@@ -85,46 +86,42 @@ def subbatch_fractions(
     l: tuple[Fraction, ...],
     P: tuple[Fraction, ...],
 ) -> dict[SubbatchKey, Fraction]:
-    """All nonzero sub-batch fractions l_k^Psi, keyed by (owner, subset).
+    """All sub-batch fractions l_k^Psi, keyed by (owner, subset), in canonical
+    order: owner ascending, then subset by size, then lexicographically.
 
-    For each owner k, the batch splits across subsets Psi of the other nodes
-    with fraction l_k * prod_{i in Psi} P_i * prod_{i not in Psi, i != k} (1 - P_i).
-    Zero entries (any Psi touching a node with P_i = 0) are skipped, so the
-    table stays small when few nodes have surplus capacity.
+    For each owner k, the batch splits across the subsets Psi of the surplus
+    nodes (P_i > 0) other than k, with fraction
+    l_k * prod_{i in Psi} P_i * prod_{i not in Psi, i != k} (1 - P_i).
+    Every l_k > 0 and every P_i < 1, so every entry is nonzero, and a node
+    with P_i = 0 joins no subset, which keeps the table small when few nodes
+    have surplus capacity.
     """
     K = len(l)
+    surplus = [i for i in range(1, K + 1) if P[i - 1] > 0]
+    # numerators of P_i and of 1 - P_i over den(P_i)
+    inside = {i: P[i - 1].numerator for i in surplus}
+    outside = {i: P[i - 1].denominator - P[i - 1].numerator for i in surplus}
     table: dict[SubbatchKey, Fraction] = {}
-
-    def expand(k: int, others: list[int], idx: int, psi: list[int], frac: Fraction):
-        if idx == len(others):
-            table[(k, tuple(psi))] = frac
-            return
-        i = others[idx]
-        p = P[i - 1]
-        if p > 0:
-            psi.append(i)
-            expand(k, others, idx + 1, psi, frac * p)
-            psi.pop()
-        if p < 1:
-            expand(k, others, idx + 1, psi, frac * (1 - p))
-
     for k in range(1, K + 1):
-        if l[k - 1] == 0:
-            continue
-        others = [i for i in range(1, K + 1) if i != k]
-        expand(k, others, 0, [], l[k - 1])
+        others = [i for i in surplus if i != k]
+        den = l[k - 1].denominator * math.prod(P[i - 1].denominator for i in others)
+        for size in range(len(others) + 1):
+            for psi in combinations(others, size):
+                num = l[k - 1].numerator * math.prod(
+                    inside[i] if i in psi else outside[i] for i in others)
+                table[(k, psi)] = Fraction(num, den)
     return table
 
 
 def subbatch_count(l: tuple[Fraction, ...], P: tuple[Fraction, ...]) -> int:
     """Number of entries of ``subbatch_fractions(l, P)``, in O(K).
 
-    Owner k contributes one entry per subset of the other nodes with
-    0 < P_i < 1; nodes with P_i = 0 or 1 leave a single branch.
+    Owner k contributes one entry per subset of the other surplus nodes
+    (P_i > 0). Every P_i < 1 because m_i < 1, so no node joins every subset.
     """
-    free = [0 < p < 1 for p in P]
-    total = sum(free)
-    return sum(1 << (total - free[k]) for k in range(len(l)) if l[k] != 0)
+    surplus = [p > 0 for p in P]
+    total = sum(surplus)
+    return sum(1 << (total - surplus[k]) for k in range(len(l)))
 
 
 def build_plan(profile: ComputationProfile) -> AllocationPlan:
@@ -136,7 +133,7 @@ def build_plan(profile: ComputationProfile) -> AllocationPlan:
 def minimal_file_count(plan: AllocationPlan) -> int:
     """Least N for which every sub-batch holds an integer number of files.
 
-    This is the LCM of the lowest-terms denominators of all nonzero sub-batch
+    This is the LCM of the lowest-terms denominators of all sub-batch
     fractions, found in O(K) without the table. For a prime p dividing
     den(P_i), P_i and 1 - P_i both have p-adic valuation -v_p(den P_i); for
     any other p, neither is negative and at most one is positive. So the
@@ -145,8 +142,7 @@ def minimal_file_count(plan: AllocationPlan) -> int:
     """
     dens = [p.denominator for p in plan.P]
     total = math.prod(dens)
-    return math.lcm(*((lk * d / total).denominator
-                      for lk, d in zip(plan.l, dens) if lk != 0))
+    return math.lcm(*((lk * d / total).denominator for lk, d in zip(plan.l, dens)))
 
 
 def file_count_estimate(plan: AllocationPlan) -> Fraction:
@@ -188,11 +184,6 @@ def format_factored(n: int) -> str:
     if rest > 1:
         parts.append(str(rest))
     return " * ".join(parts)
-
-
-def canonical_subbatch_order(keys) -> list[SubbatchKey]:
-    """Owner ascending, then subset by size, then lexicographically."""
-    return sorted(keys, key=lambda key: (key[0], len(key[1]), key[1]))
 
 
 @dataclass(frozen=True)
@@ -262,28 +253,30 @@ def materialize(
     if T <= 0:
         raise ValueError("T must be a positive bit width")
 
-    # every nonzero entry holds at least one file, so the cap bounds the table
+    # every entry holds at least one file, so the cap bounds the table
     table = subbatch_fractions(plan.l, plan.P)
     K = plan.K
     subbatch_files: dict[SubbatchKey, range] = {}
+    batch_of: dict[int, range] = {}
+    shared: dict[int, list[range]] = {k: [] for k in range(1, K + 1)}
     next_file = 1
-    for key in canonical_subbatch_order(table):
-        count = table[key] * N
+    for (owner, psi), frac in table.items():
+        count = frac * N
         assert count.denominator == 1, "divisibility guaranteed by the LCM check"
-        subbatch_files[key] = range(next_file, next_file + int(count))
-        next_file += int(count)
+        rng = range(next_file, next_file + int(count))
+        subbatch_files[(owner, psi)] = rng
+        batch_of[owner] = range(batch_of.get(owner, rng).start, rng.stop)
+        for i in psi:
+            shared[i].append(rng)
+        next_file = rng.stop
     assert next_file == N + 1, "sub-batches partition the file set"
 
-    batch_of = {}
     files_of = {}
-    next_file = 1
     for k in range(1, K + 1):
-        size = plan.l[k - 1] * N
-        assert size.denominator == 1, "a batch is a union of sub-batches"
-        batch_of[k] = range(next_file, next_file + int(size))
-        next_file += int(size)
-        shared = [rng for (_, psi), rng in subbatch_files.items() if k in psi]
-        files_of[k] = (batch_of[k], *shared)
+        assert len(batch_of[k]) == plan.l[k - 1] * N, \
+            "a batch is the union of its owner's sub-batches"
+        # pop frees each list once its tuple is built, which lowers peak memory
+        files_of[k] = (batch_of[k], *shared.pop(k))
         # coverage identity: node k maps m_k*N = (l_k + P_k*(1-l_k))*N files
         expected = (plan.l[k - 1] + plan.P[k - 1] * (1 - plan.l[k - 1])) * N
         assert sum(map(len, files_of[k])) == expected, \

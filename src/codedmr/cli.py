@@ -156,9 +156,8 @@ def cmd_plan(args) -> int:
     else:
         table = allocation.subbatch_fractions(plan.l, plan.P)
         listing = {"subbatch": [
-            {"owner": owner, "subset": list(psi),
-             "fraction": format_rational(table[(owner, psi)])}
-            for owner, psi in allocation.canonical_subbatch_order(table)]}
+            {"owner": owner, "subset": list(psi), "fraction": format_rational(frac)}
+            for (owner, psi), frac in table.items()]}
     data = {
         "profile": profile.to_json(),
         "plan": {**plan.to_json(), **listing},

@@ -61,7 +61,11 @@ class InstanceTooLargeError(DomainError):
     """A concrete instance would be too large to materialize in memory."""
 
 
-class DecodeFailureError(Exception):
+class InternalConsistencyError(Exception):
+    """Measured and analytic results disagree; indicates a bug, not bad input."""
+
+
+class DecodeFailureError(InternalConsistencyError):
     """A node failed to recover an intermediate value during the Reduce phase."""
 
     def __init__(self, node: int, q: int, n: int, reason: str):
@@ -71,10 +75,6 @@ class DecodeFailureError(Exception):
         self.q = q
         self.n = n
         self.reason = reason
-
-
-class InternalConsistencyError(Exception):
-    """Measured and analytic results disagree; indicates a bug, not bad input."""
 
 
 def parse_rational(value) -> Fraction:
@@ -235,9 +235,10 @@ def config_from_json(data: dict) -> tuple[ComputationProfile, FunctionAssignment
     if not isinstance(m_raw, list):
         raise ValueError('config key "m" must be a list')
     profile = validate_profile(m_raw)
-    if "K" in data and data["K"] is not None and int(data["K"]) != profile.K:
+    K = data.get("K")
+    if K is not None and (type(K) is not int or K != profile.K):
         raise ValueError(
-            f'config key "K"={data["K"]} disagrees with len(m)={profile.K}')
+            f'config key "K"={K!r} must be the integer len(m)={profile.K}')
     strategy = data.get("strategy")
     if strategy is not None and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -185,7 +185,7 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
             components = []
             for i in psi:
                 others = tuple(j for j in psi if j != i)
-                files = instance.subbatch_files.get((k, others), range(0))
+                files = instance.subbatch_files[(k, others)]
                 functions = instance.functions_of[i]
                 components.append(MessageComponent(
                     recipient=i, functions=functions, files=files,

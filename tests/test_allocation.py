@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from codedmr.allocation import (
     MATERIALIZE_BIT_CAP,
     build_plan,
-    canonical_subbatch_order,
     file_count_estimate,
     first_step,
     format_factored,
@@ -21,6 +21,7 @@ from codedmr.allocation import (
     subbatch_fractions,
     surplus_ratios,
 )
+from codedmr.assignment import even_assignment
 from codedmr.model import (
     IndivisibleInstanceError,
     InstanceTooLargeError,
@@ -84,6 +85,44 @@ class TestSurplusRatios:
             Fraction(2, 5), Fraction(1, 2), Fraction(3, 5))
 
 
+def canonical_key(key):
+    """Owner ascending, then subset by size, then lexicographically."""
+    owner, psi = key
+    return owner, len(psi), psi
+
+
+def recursive_subbatch_table(l, P):
+    """Reference table: a recursive walk over every other node's in/out
+    branch, then a sort into canonical order."""
+    K = len(l)
+    table = {}
+
+    def expand(k, others, idx, psi, frac):
+        if idx == len(others):
+            table[(k, tuple(psi))] = frac
+            return
+        i = others[idx]
+        p = P[i - 1]
+        if p > 0:
+            psi.append(i)
+            expand(k, others, idx + 1, psi, frac * p)
+            psi.pop()
+        if p < 1:
+            expand(k, others, idx + 1, psi, frac * (1 - p))
+
+    for k in range(1, K + 1):
+        if l[k - 1] == 0:
+            continue
+        expand(k, [i for i in range(1, K + 1) if i != k], 0, [], l[k - 1])
+    return {key: table[key] for key in sorted(table, key=canonical_key)}
+
+
+def random_loads():
+    """Loads of ``conftest.random_profile`` (K 2..9) from a drawn seed."""
+    return st.integers(0, 2 ** 32).map(
+        lambda seed: random_profile(random.Random(seed), kmax=9).m)
+
+
 def table_of(profile):
     plan = build_plan(profile)
     return subbatch_fractions(plan.l, plan.P)
@@ -116,6 +155,16 @@ class TestSubbatchFractions:
             plan = build_plan(p)
             assert subbatch_count(plan.l, plan.P) == len(
                 subbatch_fractions(plan.l, plan.P))
+
+    @settings(max_examples=300, deadline=None)
+    @example(["1/5", "1/3", "1/3", "1/2"])  # r = 1: P_1 = 0
+    @example(["1/6", "1/6", "1/2", "1/2"])  # r = 2, tied loads
+    @given(st.one_of(tied_loads(), random_loads()))
+    def test_walk_matches_recursive_oracle(self, m):
+        plan = build_plan(validate_profile(m))
+        event("r > 0" if plan.r else "r = 0")
+        assert list(subbatch_fractions(plan.l, plan.P).items()) == list(
+            recursive_subbatch_table(plan.l, plan.P).items())
 
 
 class TestMinimalFileCount:
@@ -197,12 +246,30 @@ class TestMaterialize:
         w = validate_assignment(["1/8", "1/4", "1/6", "11/24"], 4)
         inst = materialize(plan, w, N=minimal_file_count(plan), Q=24)
         keys = list(inst.subbatch_files)
-        assert keys == canonical_subbatch_order(keys)
+        assert keys == sorted(keys, key=canonical_key)
         starts = [inst.subbatch_files[k].start for k in keys]
         assert starts == sorted(starts)
         for k in range(1, 5):
             own = [rng for (owner, _), rng in inst.subbatch_files.items() if owner == k]
             assert inst.batch_of[k] == range(own[0].start, own[-1].stop)
+
+    @pytest.mark.parametrize("m, N, digest", [
+        (["1/5", "1/3", "1/3", "1/2"], 39_930,
+         "38aac5c001c5108e65a51231e0fc4c9ac0fd99421ac0b5a323dbc52362372894"),
+        (["3/5", "2/3", "11/15"], 150,
+         "5be4bb86bf2f5ed91015acfa0332411d3b06df9642ce2a2475f7bdec8faa24f4"),
+        (["13/24"] * 12, 24_576,
+         "f827f38b477f56b04a962a08b7a014f163d51e1a22d8c067a411453d70d5977c"),
+    ], ids=["worked", "hetero3", "k12"])
+    def test_layout_is_pinned(self, m, N, digest):
+        # transcript goldens record bits per message, not which files a
+        # sub-batch holds, so the file layout is pinned here
+        profile = validate_profile(m)
+        inst = materialize(build_plan(profile), even_assignment(profile.K),
+                           N=N, Q=profile.K)
+        layout = (list(inst.subbatch_files.items()), list(inst.batch_of.items()),
+                  list(inst.files_of.items()))
+        assert hashlib.sha256(repr(layout).encode()).hexdigest() == digest
 
     def test_indivisible_names_minimal_values(self):
         plan = build_plan(HETERO3)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,14 @@ class TestPlan:
         assert err.value.code == 2
         assert "--csv" in capsys.readouterr().err
 
+    def test_non_integer_k_is_config_error_exit_2(self, capsys, config_path):
+        cfg = {**WORKED_CONFIG, "K": [4]}
+        assert cli.main(["plan", "--config", config_path(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            'error: config key "K"=[4] must be the integer len(m)=4\n')
+
     def test_wrong_length_w_is_config_error_exit_2(self, capsys, config_path):
         cfg = {"m": ["1/2", "1/2"], "w": ["1"], "strategy": "custom"}
         assert cli.main(["load", "--config", config_path(cfg)]) == 2
@@ -249,16 +258,29 @@ class TestSimulate:
         assert all(rec["kind"] == "unicast" for rec in records)
 
     def test_internal_consistency_exit_3(self, capsys, config_path, monkeypatch):
-        # a duplicated message still decodes; simulate() catches the extra bits
+        def flip_first_bit(msgs):
+            payload = bytearray(msgs[0].payload)
+            payload[0] ^= 0x80
+            return [replace(msgs[0], payload=bytes(payload)), *msgs[1:]]
+
+        cases = [
+            # a duplicated message still decodes; simulate() catches the extra bits
+            (lambda msgs: msgs + msgs[:1],
+             "internal error: measured load 3/4 != analytic 1/2"),
+            # a flipped payload bit fails the Reduce check
+            (flip_first_bit,
+             "internal error: node 1 failed to decode IV (q=1, n=2): "
+             "recovered IV differs from ground truth"),
+        ]
         real = cli.simulator.build_shuffle
-        monkeypatch.setattr(cli.simulator, "build_shuffle",
-                            lambda inst, plan: (msgs := real(inst, plan)) + msgs[:1])
         cfg = {"m": ["1/2", "1/2"], "strategy": "even"}
-        assert cli.main(["simulate", "--config", config_path(cfg)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert ("internal error: measured load 3/4 != analytic 1/2"
-                in captured.err)
+        for corrupt, message in cases:
+            monkeypatch.setattr(cli.simulator, "build_shuffle",
+                                lambda inst, plan: corrupt(real(inst, plan)))
+            assert cli.main(["simulate", "--config", config_path(cfg)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == message + "\n"
 
 
 class TestSweep:

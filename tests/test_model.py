@@ -165,8 +165,12 @@ class TestConfig:
         assert strategy == "custom"
 
     def test_k_mismatch(self):
-        with pytest.raises(ValueError):
-            config_from_json({"K": 3, "m": ["1/2", "1/2"]})
+        # only a JSON integer equal to len(m) is accepted; None means absent
+        for K in (3, [2], {}, 2.5, 2.0, "2", True):
+            with pytest.raises(ValueError, match="must be the integer len"):
+                config_from_json({"K": K, "m": ["1/2", "1/2"]})
+        for K in (2, None):
+            assert config_from_json({"K": K, "m": ["1/2", "1/2"]})[0].K == 2
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
