@@ -22,9 +22,11 @@ from .model import (
     format_rational,
 )
 
-# `materialize` refuses more files than this, and more IV bits N*Q*T
+# `materialize` refuses more files than this, more IV bits N*Q*T, and
+# more sub-batches
 MATERIALIZE_FILE_CAP = 5_000_000
 MATERIALIZE_BIT_CAP = 2 ** 32
+MATERIALIZE_SUBBATCH_CAP = 2 ** 16
 
 SubbatchKey = tuple[int, tuple[int, ...]]
 
@@ -224,9 +226,10 @@ def materialize(
 
     N must be a multiple of the minimal file count and Q a multiple of the
     assignment's minimal function count, so that every sub-batch and every
-    function share is an exact integer. N is capped at MATERIALIZE_FILE_CAP
-    and the IV data N*Q*T at MATERIALIZE_BIT_CAP bits, which bounds what the
-    simulator hashes and holds.
+    function share is an exact integer. N is capped at MATERIALIZE_FILE_CAP,
+    the IV data N*Q*T at MATERIALIZE_BIT_CAP bits and the sub-batch count at
+    MATERIALIZE_SUBBATCH_CAP, which bounds what the simulator hashes and
+    holds and how many messages it builds.
     """
     if plan.K != assignment.K:
         raise ValueError("plan and assignment disagree on node count")
@@ -252,8 +255,12 @@ def materialize(
             f"{MATERIALIZE_BIT_CAP}; use fewer functions or bits per IV")
     if T <= 0:
         raise ValueError("T must be a positive bit width")
+    count = subbatch_count(plan.l, plan.P)
+    if count > MATERIALIZE_SUBBATCH_CAP:
+        raise InstanceTooLargeError(
+            f"{count} sub-batches exceed the materialization cap "
+            f"{MATERIALIZE_SUBBATCH_CAP}; analytic evaluation remains available")
 
-    # every entry holds at least one file, so the cap bounds the table
     table = subbatch_fractions(plan.l, plan.P)
     K = plan.K
     subbatch_files: dict[SubbatchKey, range] = {}

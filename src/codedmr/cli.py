@@ -3,6 +3,8 @@
 Subcommands: plan, load, simulate, sweep, bound, gap, table.
 Exit codes: 0 success, 1 infeasible configuration, 2 parse/config error,
 3 internal consistency failure (simulation disagrees with the formula).
+Each ``cmd_*`` returns its output, a dict (written as indented JSON) or a
+str, and ``main`` writes it to ``--out`` or stdout.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from . import allocation, analytics, assignment as fa, presets, simulator
 from .model import (
+    MAX_PRECISION,
     STRATEGIES,
     DomainError,
     InternalConsistencyError,
@@ -41,9 +44,12 @@ PLAN_LISTING_CAP = 2 ** 16
 # `plan` reports a larger minimal file count only symbolically
 PLAN_FILE_COUNT_CAP = 2 ** 62
 
+SWEEP_COLUMNS = ("mbar", "L_even", "L_computation", "L_shuffle",
+                 "L_hom_optimal", "note")
+
 
 def _precision(text: str) -> int:
-    """argparse type for --precision: a non-negative digit count."""
+    """argparse type for --precision: a digit count in 0..MAX_PRECISION."""
     try:
         value = int(text)
     except ValueError:
@@ -51,6 +57,9 @@ def _precision(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
+    if value > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"must be at most MAX_PRECISION={MAX_PRECISION}, got {text!r}")
     return value
 
 
@@ -116,23 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_assignment(args, profile, plan, custom, declared):
+def _configured(args):
+    """The config's profile and plan, and the strategy and assignment chosen
+    by ``--strategy``, else the config's strategy, else its custom w."""
+    profile, custom, declared = load_config(args.config)
+    plan = allocation.build_plan(profile)
     strategy = args.strategy or declared or ("custom" if custom is not None else None)
     if strategy is None:
         raise ValueError('config must declare "strategy" or "w"')
-    return strategy, fa.assignment_for(strategy, profile, plan, custom)
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, data: dict) -> None:
-    _emit(args, json.dumps(data, indent=2) + "\n")
+    return profile, plan, strategy, fa.assignment_for(strategy, profile, plan, custom)
 
 
 def _file_count_fields(plan) -> dict:
@@ -147,7 +148,7 @@ def _file_count_fields(plan) -> dict:
     return fields
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> dict:
     profile, custom, _ = load_config(args.config)
     plan = allocation.build_plan(profile)
     count = allocation.subbatch_count(plan.l, plan.P)
@@ -158,46 +159,36 @@ def cmd_plan(args) -> int:
         listing = {"subbatch": [
             {"owner": owner, "subset": list(psi), "fraction": format_rational(frac)}
             for (owner, psi), frac in table.items()]}
-    data = {
+    functions = {}
+    for strategy in STRATEGIES:
+        if strategy == "custom" and custom is None:
+            continue
+        try:
+            functions[strategy] = fa.minimal_function_count(
+                fa.assignment_for(strategy, profile, plan, custom))
+        except DomainError:
+            functions[strategy] = None
+    return {
         "profile": profile.to_json(),
         "plan": {**plan.to_json(), **listing},
         **_file_count_fields(plan),
-        "minimal_functions": {},
+        "minimal_functions": functions,
     }
-    data["minimal_functions"]["even"] = fa.minimal_function_count(
-        fa.even_assignment(profile.K))
-    data["minimal_functions"]["computation"] = fa.minimal_function_count(
-        fa.computation_aware(profile))
-    try:
-        data["minimal_functions"]["shuffle"] = fa.minimal_function_count(
-            fa.shuffle_aware(profile, plan))
-    except DomainError:
-        data["minimal_functions"]["shuffle"] = None
-    if custom is not None:
-        data["minimal_functions"]["custom"] = fa.minimal_function_count(custom)
-    _emit_json(args, data)
-    return EXIT_OK
 
 
-def cmd_load(args) -> int:
-    profile, custom, declared = load_config(args.config)
-    plan = allocation.build_plan(profile)
-    strategy, w = _resolve_assignment(args, profile, plan, custom, declared)
+def cmd_load(args) -> dict:
+    profile, plan, strategy, w = _configured(args)
     report = analytics.build_load_report(profile, plan, w)
-    data = {
+    return {
         "profile": profile.to_json(),
         "strategy": strategy,
         "w": w.to_json(),
         "report": report.to_json(args.precision),
     }
-    _emit_json(args, data)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    profile, custom, declared = load_config(args.config)
-    plan = allocation.build_plan(profile)
-    strategy, w = _resolve_assignment(args, profile, plan, custom, declared)
+def cmd_simulate(args) -> dict:
+    profile, plan, strategy, w = _configured(args)
     instance, plan, report = simulator.simulate(
         profile, w, N=args.files, Q=args.functions, T=args.iv_bits,
         seed=args.seed, log_messages=bool(args.transcript))
@@ -205,7 +196,7 @@ def cmd_simulate(args) -> int:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             for record in report.message_log or []:
                 fh.write(json.dumps(record) + "\n")
-    data = {
+    return {
         "profile": profile.to_json(),
         "strategy": strategy,
         "instance": {"N": instance.N, "Q": instance.Q, "T": instance.T,
@@ -214,8 +205,19 @@ def cmd_simulate(args) -> int:
             analytics.achievable_load(profile, plan, w).total, args.precision),
         "report": report.to_json(args.precision),
     }
-    _emit_json(args, data)
-    return EXIT_OK
+
+
+def _strategy_loads(profile) -> dict[str, Fraction | None]:
+    """Even load from the general formula, computation- and shuffle-aware
+    loads from their closed forms; shuffle-aware is None at total load 1."""
+    plan = allocation.build_plan(profile)
+    even = fa.even_assignment(profile.K)
+    return {
+        "even": analytics.achievable_load(profile, plan, even).total,
+        "computation": analytics.load_computation_aware(profile, plan),
+        "shuffle": (analytics.load_shuffle_aware(profile, plan)
+                    if profile.total > 1 else None),
+    }
 
 
 def _sweep_grid(args, coeffs) -> list[Fraction]:
@@ -235,81 +237,58 @@ def _sweep_grid(args, coeffs) -> list[Fraction]:
     return [t * step for t in range(first, first + count)]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     if bool(args.preset) == bool(args.coeffs):
         raise ValueError("sweep needs exactly one of --preset or --coeffs")
     coeffs = (presets.SWEEP_COEFFS[args.preset] if args.preset
               else fractions_from_csv(args.coeffs))
-    K = len(coeffs)
     precision = args.precision
-    rows = []
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, restval="")
+    writer.writeheader()
     for mbar in _sweep_grid(args, coeffs):
-        row = {"mbar": format_decimal(mbar, precision), "L_even": "",
-               "L_computation": "", "L_shuffle": "", "L_hom_optimal": "",
-               "note": ""}
-        notes = []
+        row = {"mbar": format_decimal(mbar, precision)}
         try:
             profile = validate_profile([mbar * c for c in coeffs])
         except DomainError as exc:
-            row["note"] = f"skipped: {exc}"
-            rows.append(row)
+            writer.writerow({**row, "note": f"skipped: {exc}"})
             continue
-        plan = allocation.build_plan(profile)
-        load = analytics.achievable_load(
-            profile, plan, fa.even_assignment(K)).total
-        row["L_even"] = format_decimal(load, precision)
-        row["L_computation"] = format_decimal(
-            analytics.load_computation_aware(profile, plan), precision)
-        if profile.total > 1:
-            row["L_shuffle"] = format_decimal(
-                analytics.load_shuffle_aware(profile, plan), precision)
-        else:
-            notes.append("shuffle-aware undefined at total load 1")
+        notes = []
+        for strategy, load in _strategy_loads(profile).items():
+            if load is None:
+                notes.append("shuffle-aware undefined at total load 1")
+            else:
+                row[f"L_{strategy}"] = format_decimal(load, precision)
         try:
             row["L_hom_optimal"] = format_decimal(
-                analytics.homogeneous_optimal(K, mbar), precision)
+                analytics.homogeneous_optimal(len(coeffs), mbar), precision)
         except DomainError:
             notes.append("homogeneous optimum undefined at this point")
-        row["note"] = "; ".join(notes)
-        rows.append(row)
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["mbar", "L_even", "L_computation", "L_shuffle",
-                         "L_hom_optimal", "note"])
-    writer.writeheader()
-    writer.writerows(rows)
-    _emit(args, buf.getvalue())
-    return EXIT_OK
+        writer.writerow({**row, "note": "; ".join(notes)})
+    return buf.getvalue()
 
 
-def cmd_bound(args) -> int:
-    profile, custom, declared = load_config(args.config)
-    plan = allocation.build_plan(profile)
-    strategy, w = _resolve_assignment(args, profile, plan, custom, declared)
+def cmd_bound(args) -> dict:
+    profile, _, strategy, w = _configured(args)
     bound, witness = analytics.lower_bound(profile, w)
-    data = {
+    return {
         "profile": profile.to_json(),
         "strategy": strategy,
         "lower_bound": format_both(bound, args.precision),
         "witness": sorted(witness),
     }
-    _emit_json(args, data)
-    return EXIT_OK
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args) -> dict:
     profile, _, _ = load_config(args.config)
     ratio, regime = analytics.gap_to_homogeneous(profile)
-    data = {
+    return {
         "profile": profile.to_json(),
         "mbar": format_both(profile.mean, args.precision),
         "regime": regime,
         "gap_to_homogeneous": format_both(ratio, args.precision),
         "within_bound": bool(ratio < analytics.HOMOGENEOUS_GAP_BOUND),
     }
-    _emit_json(args, data)
-    return EXIT_OK
 
 
 # Published values of other schemes on the same benchmarks, for context only.
@@ -336,42 +315,26 @@ REPORTED_TABLE2 = {
     ],
 }
 
+SCHEMES = {"even": "Even FA", "computation": "Computation-aware FA",
+           "shuffle": "Shuffle-aware FA"}
+
 
 def _table1_data() -> dict:
-    columns = {}
-    for name, profile in (("m1", presets.profile_k12_m1()),
-                          ("m2", presets.profile_k12_m2())):
-        plan = allocation.build_plan(profile)
-        even = analytics.achievable_load(
-            profile, plan, fa.even_assignment(profile.K)).total
-        columns[name] = {
-            "even": even,
-            "computation": analytics.load_computation_aware(profile, plan),
-            "shuffle": analytics.load_shuffle_aware(profile, plan),
-        }
-    rows = []
-    for label, key in (("Even FA", "even"),
-                       ("Computation-aware FA", "computation"),
-                       ("Shuffle-aware FA", "shuffle")):
-        rows.append({
-            "scheme": label,
-            "m1": format_decimal(columns["m1"][key], 3),
-            "m2": format_decimal(columns["m2"][key], 3),
-            "m1_exact": format_rational(columns["m1"][key]),
-            "m2_exact": format_rational(columns["m2"][key]),
-            "status": "computed",
-        })
-    for label, v1, v2 in REPORTED_TABLE1:
-        rows.append({"scheme": label, "m1": v1, "m2": v2,
-                     "status": "reported, not reproduced"})
+    m1 = _strategy_loads(presets.profile_k12_m1())
+    m2 = _strategy_loads(presets.profile_k12_m2())
+    rows = [{
+        "scheme": label,
+        "m1": format_decimal(m1[key], 3),
+        "m2": format_decimal(m2[key], 3),
+        "m1_exact": format_rational(m1[key]),
+        "m2_exact": format_rational(m2[key]),
+        "status": "computed",
+    } for key, label in SCHEMES.items()]
+    rows += [{"scheme": label, "m1": v1, "m2": v2,
+              "status": "reported, not reproduced"}
+             for label, v1, v2 in REPORTED_TABLE1]
     return {"title": "Communication load, K=12 benchmark profiles",
             "rows": rows}
-
-
-def _format_count(value: int) -> str:
-    if value >= LARGE_COUNT_DISPLAY:
-        return allocation.format_factored(value)
-    return str(value)
 
 
 def _table2_data() -> dict:
@@ -381,63 +344,52 @@ def _table2_data() -> dict:
                              ("K=12 profile-2", presets.profile_k12_m2())):
         plan = allocation.build_plan(profile)
         min_n = allocation.minimal_file_count(plan)
+        min_files = (allocation.format_factored(min_n)
+                     if min_n >= LARGE_COUNT_DISPLAY else str(min_n))
         rows = [
             {"scheme": scheme, "files": files, "functions": functions,
              "status": "reported, not reproduced"}
             for scheme, files, functions in REPORTED_TABLE2[section]
         ]
-        rows.append({
-            "scheme": "Computation-aware FA",
-            "files": _format_count(min_n),
-            "functions": str(fa.minimal_function_count(fa.computation_aware(profile))),
-            "status": "computed",
-        })
-        rows.append({
-            "scheme": "Shuffle-aware FA",
-            "files": _format_count(min_n),
-            "functions": str(fa.minimal_function_count(fa.shuffle_aware(profile, plan))),
-            "status": "computed",
-        })
+        for strategy in ("computation", "shuffle"):
+            w = fa.assignment_for(strategy, profile, plan)
+            rows.append({"scheme": SCHEMES[strategy], "files": min_files,
+                         "functions": str(fa.minimal_function_count(w)),
+                         "status": "computed"})
         sections.append({"section": section, "rows": rows})
     return {"title": "Least numbers of input files and output functions",
             "sections": sections}
 
 
-def _render_rows(rows: list[dict], columns: list[tuple[str, str]]) -> str:
-    widths = {key: max(len(title), *(len(str(row.get(key, ""))) for row in rows))
-              for key, title in columns}
-    lines = ["  ".join(title.ljust(widths[key]) for key, title in columns)]
-    lines.append("  ".join("-" * widths[key] for key, _ in columns))
-    for row in rows:
-        lines.append("  ".join(
-            str(row.get(key, "")).ljust(widths[key]) for key, _ in columns))
-    return "\n".join(lines)
+# per preset: the function that builds its data and the (key, title)
+# columns of its text form
+TABLES = {
+    "table1": (_table1_data, [("scheme", "Scheme"), ("m1", "m1"),
+                              ("m2", "m2"), ("status", "Status")]),
+    "table2": (_table2_data, [("scheme", "Scheme"), ("files", "Files N"),
+                              ("functions", "Functions Q"), ("status", "Status")]),
+}
 
 
-def cmd_table(args) -> int:
-    if args.preset == "table1":
-        data = _table1_data()
-        if args.json:
-            _emit_json(args, data)
-        else:
-            text = data["title"] + "\n\n" + _render_rows(
-                data["rows"],
-                [("scheme", "Scheme"), ("m1", "m1"), ("m2", "m2"),
-                 ("status", "Status")]) + "\n"
-            _emit(args, text)
-        return EXIT_OK
-    data = _table2_data()
+def cmd_table(args) -> dict | str:
+    build, columns = TABLES[args.preset]
+    data = build()
     if args.json:
-        _emit_json(args, data)
-        return EXIT_OK
-    parts = [data["title"]]
-    for section in data["sections"]:
-        parts.append("\n" + section["section"] + "\n" + _render_rows(
-            section["rows"],
-            [("scheme", "Scheme"), ("files", "Files N"),
-             ("functions", "Functions Q"), ("status", "Status")]))
-    _emit(args, "\n".join(parts) + "\n")
-    return EXIT_OK
+        return data
+    text = data["title"] + "\n"
+    # table1's rows are one section without a heading
+    for section in data.get("sections") or [{"section": "", "rows": data["rows"]}]:
+        rows = section["rows"]
+        widths = {key: max(len(title), *(len(str(row.get(key, ""))) for row in rows))
+                  for key, title in columns}
+        lines = [section["section"]] if section["section"] else []
+        lines.append("  ".join(title.ljust(widths[key]) for key, title in columns))
+        lines.append("  ".join("-" * widths[key] for key, _ in columns))
+        for row in rows:
+            lines.append("  ".join(
+                str(row.get(key, "")).ljust(widths[key]) for key, _ in columns))
+        text += "\n" + "\n".join(lines) + "\n"
+    return text
 
 
 COMMANDS = {
@@ -455,16 +407,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        output = COMMANDS[args.command](args)
+        if not isinstance(output, str):
+            output = json.dumps(output, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        else:
+            sys.stdout.write(output)
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_PARSE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

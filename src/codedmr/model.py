@@ -13,6 +13,11 @@ from typing import Sequence
 
 # function-assignment strategies a config or `--strategy` may name
 STRATEGIES = ("even", "computation", "shuffle", "custom")
+# `parse_rational` refuses text whose digits plus decimal exponent exceed this
+RATIONAL_DIGITS_CAP = 1000
+# the most decimal digits `format_decimal` renders: Python's default limit
+# on the digits of an int-to-str conversion
+MAX_PRECISION = 4300
 
 
 class DomainError(ValueError):
@@ -82,7 +87,9 @@ def parse_rational(value) -> Fraction:
 
     Accepts "p/q" strings, terminating-decimal strings ("0.25"), ints, and
     Fractions. Floats are converted through their shortest repr so that a
-    JSON literal like 0.9 means exactly 9/10.
+    JSON literal like 0.9 means exactly 9/10. A string is sized from its text
+    before the number is built: its digits plus its decimal exponent may not
+    exceed RATIONAL_DIGITS_CAP.
     """
     if isinstance(value, Fraction):
         return value
@@ -93,6 +100,15 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
+        digits = sum(c.isdecimal() for c in value)
+        exponent = value.lower().partition("e")[2].lstrip("+-").replace("_", "")
+        if digits <= RATIONAL_DIGITS_CAP and exponent.isdecimal():
+            digits += int(exponent)  # at most RATIONAL_DIGITS_CAP digits long
+        if digits > RATIONAL_DIGITS_CAP:
+            raise ValueError(
+                f"rational {value[:20]!r}{'...' if len(value) > 20 else ''} has "
+                f"more than RATIONAL_DIGITS_CAP={RATIONAL_DIGITS_CAP} digits, "
+                "counting its decimal exponent")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -106,7 +122,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def format_decimal(value: Fraction, precision: int = 6) -> str:
-    """Fixed-point decimal rendering using round-half-even."""
+    """Fixed-point decimal rendering using round-half-even; Python renders
+    a precision up to MAX_PRECISION."""
     rounded = round(Fraction(value), precision)
     scaled = rounded * 10 ** precision
     digits = abs(int(scaled))

@@ -138,6 +138,28 @@ class TestPlan:
         assert ("argument --precision: must be a non-negative integer, got '-1'"
                 in capsys.readouterr().err)
 
+    def test_oversized_precision_rejected_at_parsing(self, capsys, config_path):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            cli.main(["load", "--config", config_path(WORKED_CONFIG),
+                      "--precision", "5000"])
+        assert time.perf_counter() - start < 1.0
+        assert err.value.code == 2
+        assert ("argument --precision: must be at most MAX_PRECISION=4300, "
+                "got '5000'" in capsys.readouterr().err)
+
+    def test_oversized_rational_refused_in_bounded_time(self, capsys, config_path):
+        cfg = {"m": ["1/2", "1/2", "1e-10000000"]}
+        start = time.perf_counter()
+        code = cli.main(["plan", "--config", config_path(cfg)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: rational '1e-10000000' has more than "
+            "RATIONAL_DIGITS_CAP=1000 digits, counting its decimal exponent\n")
+
     def test_csv_flag_rejected_at_parsing(self, capsys, config_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["load", "--config", config_path(WORKED_CONFIG), "--csv"])
@@ -245,6 +267,19 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "N*Q*T=40000000000 IV bits exceed the materialization cap" in captured.err
+
+    def test_subbatch_count_refused_in_bounded_time(self, capsys, config_path):
+        # N = 16 * 2^15 passes the file and bit caps; the 2^15-per-owner
+        # table is never built
+        cfg = {"m": ["17/32"] * 16, "strategy": "even"}
+        start = time.perf_counter()
+        code = cli.main(["simulate", "--config", config_path(cfg)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("524288 sub-batches exceed the materialization cap 65536"
+                in captured.err)
 
     def test_transcript(self, capsys, config_path, tmp_path):
         cfg = {"m": ["1/2", "1/2"], "strategy": "even"}
@@ -417,6 +452,28 @@ class TestTable:
         out = capsys.readouterr().out
         assert "Even FA" in out and "0.448" in out
         assert "reported, not reproduced" in out
+
+
+class TestOutput:
+    def test_unwritable_out_exit_2(self, capsys, config_path, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert cli.main(["load", "--config", config_path(WORKED_CONFIG),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert not out.parent.exists()
+
+    def test_commands_return_output_without_writing(self, capsys, config_path):
+        parser = cli.build_parser()
+        gap = parser.parse_args(["gap", "--config", config_path(WORKED_CONFIG)])
+        sweep = parser.parse_args(["sweep", "--preset", "fig2-k3", "--step", "0.1"])
+        data = cli.COMMANDS["gap"](gap)
+        text = cli.COMMANDS["sweep"](sweep)
+        assert capsys.readouterr().out == ""
+        assert isinstance(data, dict) and data["regime"]
+        assert isinstance(text, str) and text.startswith("mbar,")
 
 
 class TestDeterminism:

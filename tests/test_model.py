@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codedmr.model import (
+    MAX_PRECISION,
     AssignmentSumError,
     DomainError,
     InsufficientTotalLoadError,
@@ -53,6 +55,15 @@ class TestParseRational:
         assert format_rational(parse_rational("2/4")) == "1/2"
         assert format_rational(parse_rational("-2/4")) == "-1/2"
 
+    def test_oversized_text_refused_before_building(self):
+        start = time.perf_counter()
+        for text in ("1e-10000000", "1e-2000", "1" * 1001, "1/" + "3" * 1000):
+            with pytest.raises(ValueError, match="RATIONAL_DIGITS_CAP=1000"):
+                parse_rational(text)
+        assert time.perf_counter() - start < 1.0
+        assert parse_rational("1e-6") == Fraction(1, 10 ** 6)
+        assert parse_rational("1e-996") == Fraction(1, 10 ** 996)
+
     @given(st.fractions())
     def test_format_round_trip_property(self, x):
         assert parse_rational(format_rational(x)) == x
@@ -67,6 +78,10 @@ class TestFormatDecimal:
         assert format_decimal(Fraction(-1, 8), 2) == "-0.12"
         assert format_decimal(Fraction(5, 2), 0) == "2"
         assert format_decimal(Fraction(7, 2), 0) == "4"
+
+    def test_max_precision_renders(self):
+        text = format_decimal(Fraction(1, 3), MAX_PRECISION)
+        assert text == "0." + "3" * MAX_PRECISION
 
     def test_padding(self):
         assert format_decimal(Fraction(1, 4), 6) == "0.250000"

@@ -1,11 +1,12 @@
+import functools
 import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedmr import simulator
@@ -50,32 +51,78 @@ def n_q_within_caps(n_min: int, q_min: int) -> bool:
     return n_min <= 3000 and q_min <= 100 and n_min * q_min <= 50_000
 
 
+# loads a generated profile takes: denominators up to 8, within [1/8, 7/8]
+SMALL_LOADS = sorted({Fraction(a, d) for d in range(2, 9) for a in range(1, d)
+                      if d <= 8 * a <= 7 * d})
+# a prime above every index count `walk` is given (at most 9^5 weight vectors)
+STRIDE = 100_003
+
+
+@functools.cache
+def small_multisets(K: int) -> list[tuple[Fraction, ...]]:
+    """Every sorted choice of K loads from SMALL_LOADS."""
+    return list(combinations_with_replacement(SMALL_LOADS, K))
+
+
+def walk(draw, count: int, valid) -> int:
+    """The first index i with valid(i) on a walk over range(count).
+
+    The walk starts at a drawn index and steps by STRIDE, a prime above
+    count, so it visits every index once: it finds a valid index whenever
+    one exists, every valid index is the first one found from some start,
+    and no draw is ever filtered out.
+    """
+    start = draw(st.integers(0, count - 1))
+    return next(i for i in ((start + j * STRIDE) % count for j in range(count))
+                if valid(i))
+
+
+def weights_at(index: int, K: int) -> FunctionAssignment:
+    """Custom weights given by the K base-9 digits of index > 0, normalized."""
+    digits = [index // 9 ** j % 9 for j in range(K)]
+    return FunctionAssignment(w=tuple(Fraction(a, sum(digits)) for a in digits))
+
+
+def fits_caps(m) -> bool:
+    """Loads m form a profile whose minimal N admits a simulation."""
+    return sum(m) >= 1 and n_q_within_caps(
+        minimal_file_count(build_plan(validate_profile(m))), 1)
+
+
 @st.composite
 def small_simulations(draw):
-    """A random K 2..5 profile, assignment and IV width T in 1..600."""
+    """A random K 2..5 profile, assignment and IV width T in 1..600.
+
+    Every draw is valid by construction: the sorted loads are walked to a
+    profile whose minimal N fits the caps and then shuffled, the strategy is
+    one whose minimal Q fits, and custom weights (0..8 each, not all zero)
+    are walked to a vector whose minimal Q fits. A single nonzero weight
+    gives Q = 1, so custom always has one.
+    """
     K = draw(st.integers(2, 5))
-    m = draw(st.lists(
-        st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8),
-                     max_denominator=8),
-        min_size=K, max_size=K))
-    assume(sum(m) >= 1)
-    try:
-        p = validate_profile(m)
-    except DomainError:
-        assume(False)
+    multisets = small_multisets(K)
+    m = multisets[walk(draw, len(multisets), lambda i: fits_caps(multisets[i]))]
+    p = validate_profile(draw(st.permutations(m)))
     plan = build_plan(p)
     n_min = minimal_file_count(plan)
-    strategy = draw(st.sampled_from(["even", "computation", "shuffle", "custom"]))
-    if strategy == "shuffle" and p.total == 1:
-        strategy = "even"
-    custom = None
+
+    def fits(w):
+        return n_q_within_caps(n_min, minimal_function_count(w))
+
+    assignments = {}
+    for strategy in ("even", "computation", "shuffle"):
+        try:
+            w = assignment_for(strategy, p, plan)
+        except DomainError:  # shuffle-aware at total load 1
+            continue
+        if fits(w):
+            assignments[strategy] = w
+    strategy = draw(st.sampled_from([*assignments, "custom"]))
     if strategy == "custom":
-        weights = draw(st.lists(st.integers(0, 8), min_size=K, max_size=K))
-        assume(sum(weights) > 0)
-        custom = FunctionAssignment(
-            w=tuple(Fraction(a, sum(weights)) for a in weights))
-    w = assignment_for(strategy, p, plan, custom)
-    assume(n_q_within_caps(n_min, minimal_function_count(w)))
+        index = walk(draw, 9 ** K, lambda i: i > 0 and fits(weights_at(i, K)))
+        w = assignment_for("custom", p, plan, weights_at(index, K))
+    else:
+        w = assignments[strategy]
     return p, plan, w, draw(st.integers(1, 600)), draw(st.integers(0, 2 ** 64 - 1))
 
 
