@@ -43,6 +43,7 @@ from .model import (
     InternalConsistencyError,
     LoadOutOfRangeError,
     NegativeFractionError,
+    NumberTooLargeError,
     OutOfDomainError,
     RequiresRedundancyError,
     TooManyNodesError,

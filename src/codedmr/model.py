@@ -15,8 +15,9 @@ from typing import Sequence
 STRATEGIES = ("even", "computation", "shuffle", "custom")
 # `parse_rational` refuses text whose digits plus decimal exponent exceed this
 RATIONAL_DIGITS_CAP = 1000
-# the most decimal digits `format_decimal` renders: Python's default limit
-# on the digits of an int-to-str conversion
+# the most decimal digits `format_decimal` renders, and that `format_rational`
+# prints in a numerator or denominator: Python's default limit on the digits
+# of an int-to-str conversion
 MAX_PRECISION = 4300
 
 
@@ -60,6 +61,10 @@ class IndivisibleInstanceError(DomainError):
         super().__init__(message)
         self.minimal_files = minimal_files
         self.minimal_functions = minimal_functions
+
+
+class NumberTooLargeError(DomainError):
+    """A derived value has more digits than Python prints (MAX_PRECISION)."""
 
 
 class InstanceTooLargeError(DomainError):
@@ -117,8 +122,18 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Lowest-terms "p/q" form; plain "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Lowest-terms "p/q" form; plain "p" when the denominator is 1.
+
+    Raises NumberTooLargeError if the numerator or denominator has more than
+    MAX_PRECISION digits, which Python refuses to convert to a string.
+    """
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise NumberTooLargeError(
+            f"a derived value has more than MAX_PRECISION={MAX_PRECISION} "
+            "digits in its numerator or denominator; use loads or function "
+            "fractions with smaller denominators") from exc
 
 
 def format_decimal(value: Fraction, precision: int = 6) -> str:

@@ -6,17 +6,21 @@ function q on file n is bits [(q-1)T, qT) of that row. A node's functions
 are a contiguous range, so a message component's block holds, file by file,
 one slice of each file's row. Multicast payloads XOR per-recipient blocks
 after zero-padding the shorter blocks at the tail, exactly as the load
-accounting assumes. Decoding rebuilds each component's block once per
-message: it is both the interference other recipients XOR out and the
-reference the recovered bytes must equal. A node's Map store is the set of
-file ranges it holds, and delivery is tracked as file ranges per recipient,
+accounting assumes. Shuffle and Reduce each hash every row they need once:
+they take the messages sender by sender, hash the sender's rows at full
+width into one buffer and cut every block of its messages from it. Reduce
+hashes its own rows, so ground truth never comes from the payload, and
+decodes with one residual per message, the payload XOR all its blocks: a
+recipient recovers its block exactly when the residual's leading bytes, as
+many as its block has, are zero. A node's Map store is the set of file
+ranges it holds, and delivery is tracked as file ranges per recipient,
 which with the node's own files must cover 1..N.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -36,14 +40,18 @@ UNICAST = "unicast"
 CODED = "coded"
 
 
-def _rows(seed: int, files: range, nbytes: int) -> list[bytes]:
-    """The first nbytes of each file's XOF row, shake_256(seed8 || n8)."""
+def _rows(seed: int, files: range, nbytes: int) -> bytearray:
+    """The first nbytes of each file's XOF row, shake_256(seed8 || n8), laid
+    back to back in one buffer: file n's row starts at (n - files.start) *
+    nbytes."""
     base = hashlib.shake_256((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
-    rows = []
+    rows = bytearray(len(files) * nbytes)
+    at = 0
     for n in files:
         xof = base.copy()
         xof.update(n.to_bytes(8, "big"))
-        rows.append(xof.digest(nbytes))
+        rows[at:at + nbytes] = xof.digest(nbytes)
+        at += nbytes
     return rows
 
 
@@ -56,8 +64,7 @@ def _bits(data: bytes, start: int, width: int) -> int:
 
 def iv_value(seed: int, q: int, n: int, T: int) -> int:
     """The T-bit intermediate value of function q on file n, as an int."""
-    row, = _rows(seed, range(n, n + 1), (q * T + 7) // 8)
-    return _bits(row, (q - 1) * T, T)
+    return _bits(_rows(seed, range(n, n + 1), (q * T + 7) // 8), (q - 1) * T, T)
 
 
 def pack_ivs(values: Iterable[int], T: int) -> bytes:
@@ -117,18 +124,59 @@ class ShuffleMessage:
     components: tuple[MessageComponent, ...]
 
 
-def _component_block(component: MessageComponent, seed: int, T: int) -> bytes:
-    """pack_ivs of the component's IVs, one row slice per file."""
-    functions = component.functions
-    if not functions or not component.files:
-        return b""
+def _cut(rows: bytearray, stride: int, first: int,
+         component: MessageComponent, T: int) -> bytes | bytearray:
+    """pack_ivs of the component's IVs, cut from rows that hold ``stride``
+    bytes per file from file ``first`` on (the layout ``_rows`` returns)."""
+    functions, files = component.functions, component.files
     start = (functions.start - 1) * T
     width = len(functions) * T
-    rows = _rows(seed, component.files, (start + width + 7) // 8)
-    if start % 8 == 0 and width % 8 == 0:
-        lo = start // 8
-        return b"".join(row[lo:] for row in rows)
-    return pack_ivs((_bits(row, start, width) for row in rows), width)
+    at = (files.start - first) * stride
+    stop = at + len(files) * stride
+    if start % 8 or width % 8:
+        return pack_ivs((_bits(rows, bit, width) for bit in range(
+            8 * at + start, 8 * stop, 8 * stride)), width)
+    # byte-aligned: copy each byte column of the block with one strided slice
+    lo, columns = at + start // 8, width // 8
+    block = bytearray(len(files) * columns)
+    for b in range(columns):
+        block[b::columns] = rows[lo + b:stop:stride]
+    return block
+
+
+def _component_block(component: MessageComponent, seed: int, T: int) -> bytes:
+    """pack_ivs of the component's IVs, one row slice per file."""
+    stride = ((component.functions.stop - 1) * T + 7) // 8
+    rows = _rows(seed, component.files, stride)
+    return bytes(_cut(rows, stride, component.files.start, component, T))
+
+
+def _message_blocks(instance: MaterializedInstance,
+                    messages: Sequence[ShuffleMessage]):
+    """Yield (index, blocks) for each message with a live component, grouped
+    by sender; ``blocks`` cuts the block of each live component, in order,
+    as it is read, so read it before the next message.
+
+    A sender's blocks all come from one buffer: the full-width rows of the
+    files from the lowest to the highest any of its live components holds,
+    hashed once. The buffer is freed before the next sender's is hashed.
+    """
+    T = instance.T
+    stride = (instance.Q * T + 7) // 8
+    by_sender: dict[int, list[int]] = {}
+    for index, msg in enumerate(messages):
+        if _live(msg.components):
+            by_sender.setdefault(msg.sender, []).append(index)
+    for indices in by_sender.values():
+        files = [c.files for index in indices
+                 for c in _live(messages[index].components)]
+        first = min(f.start for f in files)
+        rows = _rows(instance.seed, range(first, max(f.stop for f in files)),
+                     stride)
+        for index in indices:
+            yield index, (_cut(rows, stride, first, c, T)
+                          for c in _live(messages[index].components))
+        del rows
 
 
 def _aligned(block: bytes, nbytes: int) -> int:
@@ -144,6 +192,11 @@ def _xor_aligned(blocks: Sequence[bytes], nbytes: int) -> bytes:
     return acc.to_bytes(nbytes, "big")
 
 
+def _live(components: Iterable[MessageComponent]) -> tuple[MessageComponent, ...]:
+    """The components that carry bits."""
+    return tuple(c for c in components if c.bit_length)
+
+
 def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[ShuffleMessage]:
     """Construct every Shuffle-phase message.
 
@@ -151,55 +204,43 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
     IVs from each batch owner. Surplus nodes are served by coded multicasts:
     for each subset of surplus nodes and each outside sender, the sender XORs
     the zero-padded per-recipient blocks of its own batch's sub-batches.
+    Messages are listed in that order; their blocks are cut sender by sender
+    from one row buffer each.
     """
     K = instance.K
     T = instance.T
-    seed = instance.seed
-    r = plan.r
-    messages: list[ShuffleMessage] = []
     batch_of = instance.batch_of
 
-    # unicasts to LowCL nodes
-    for i in range(1, r + 1):
+    def component(i: int, files: range) -> MessageComponent:
         functions = instance.functions_of[i]
-        if len(functions) == 0:
-            continue
-        for k in range(1, K + 1):
-            if k == i or len(batch_of[k]) == 0:
-                continue
-            component = MessageComponent(
-                recipient=i, functions=functions, files=batch_of[k],
-                bit_length=len(functions) * len(batch_of[k]) * T)
-            payload = _component_block(component, seed, T)
-            messages.append(ShuffleMessage(
-                sender=k, recipients=(i,), kind=UNICAST, payload=payload,
-                bit_length=component.bit_length, components=(component,)))
+        return MessageComponent(recipient=i, functions=functions, files=files,
+                                bit_length=len(functions) * len(files) * T)
 
-    # coded multicasts to HighCL subsets
-    high = list(range(r + 1, K + 1))
-    for psi in _nonempty_subsets(high):
-        psi_set = set(psi)
-        for k in range(1, K + 1):
-            if k in psi_set:
-                continue
-            components = []
-            for i in psi:
-                others = tuple(j for j in psi if j != i)
-                files = instance.subbatch_files[(k, others)]
-                functions = instance.functions_of[i]
-                components.append(MessageComponent(
-                    recipient=i, functions=functions, files=files,
-                    bit_length=len(functions) * len(files) * T))
-            max_bits = max(c.bit_length for c in components)
-            if max_bits == 0:
-                continue
-            nbytes = (max_bits + 7) // 8
-            payload = _xor_aligned(
-                [_component_block(c, seed, T) for c in components if c.bit_length],
-                nbytes)
-            messages.append(ShuffleMessage(
-                sender=k, recipients=tuple(psi), kind=CODED, payload=payload,
-                bit_length=max_bits, components=tuple(components)))
+    def message(sender: int, recipients: tuple[int, ...], kind: str,
+                components: tuple[MessageComponent, ...]) -> ShuffleMessage:
+        return ShuffleMessage(
+            sender=sender, recipients=recipients, kind=kind, payload=b"",
+            bit_length=max(c.bit_length for c in components),
+            components=components)
+
+    # unicasts to LowCL nodes, then coded multicasts to HighCL subsets; the
+    # payloads are filled in afterwards
+    messages = [message(k, (i,), UNICAST, (component(i, batch_of[k]),))
+                for i in range(1, plan.r + 1) for k in range(1, K + 1) if k != i]
+    for psi in _nonempty_subsets(range(plan.r + 1, K + 1)):
+        messages += [
+            message(k, psi, CODED, tuple(
+                component(i, instance.subbatch_files[
+                    (k, tuple(j for j in psi if j != i))])
+                for i in psi))
+            for k in range(1, K + 1) if k not in psi]
+    messages = [msg for msg in messages if msg.bit_length]
+
+    for index, blocks in _message_blocks(instance, messages):
+        blocks = list(blocks)
+        messages[index] = replace(messages[index], payload=(
+            bytes(blocks[0]) if len(blocks) == 1
+            else _xor_aligned(blocks, max(map(len, blocks)))))
     return messages
 
 
@@ -236,6 +277,19 @@ class SimulationReport:
         return data
 
 
+def _first_wrong(component: MessageComponent, diff: int, nbytes: int,
+                 T: int) -> tuple[int, int] | None:
+    """The first (q, n) of the component whose T-bit slot of diff, the
+    nbytes-long XOR of recovered and true blocks, is nonzero."""
+    count = len(component.functions) * len(component.files)
+    diff >>= 8 * nbytes - count * T
+    if not diff:
+        return None
+    file, function = divmod((count * T - diff.bit_length()) // T,
+                            len(component.functions))
+    return component.functions.start + function, component.files.start + file
+
+
 def run_reduce(
     instance: MaterializedInstance,
     stores: Mapping[int, set[range]],
@@ -245,19 +299,23 @@ def run_reduce(
 ) -> SimulationReport:
     """Decode every message at its recipients and verify full recovery.
 
-    Each component's ground-truth block is built once per message. A
-    recipient checks that its Map store holds the other components' file
-    ranges, XORs their blocks out of the zero-padded payload, truncates to
-    its own block length and compares the result with its own block byte
-    for byte. Afterwards each node's delivered file ranges, with the files
-    it maps, must cover 1..N.
+    Ground truth comes from the rows, hashed here once per sender as in
+    ``build_shuffle``, never from the payload. Each message's residual is
+    the zero-padded payload XOR all its components' true blocks. A
+    recipient first checks that its Map store holds the other components'
+    file ranges; it then decodes correctly exactly when the residual's
+    leading bytes, as many as its own block has, are zero, since cancelling
+    the other blocks leaves it its own block XOR those bytes. The first
+    wrong (q, n) is the first nonzero T-bit slot there. Failures are
+    reported in message order, then component order. Afterwards each
+    node's delivered file ranges, with the files it maps, must cover 1..N.
 
     Range membership is exact: in a coded message from sender s to psi,
     recipient i's component is the whole sub-batch (s, psi - {i}), and
     every other recipient maps it as one element of ``files_of``, never
     inside its own batch, since s is not in psi.
     """
-    N, Q, T, seed = instance.N, instance.Q, instance.T, instance.seed
+    N, Q, T = instance.N, instance.Q, instance.T
     K = instance.K
     delivered: dict[int, list[range]] = {k: [] for k in range(1, K + 1)}
     failures: list[tuple[int, int, int, str]] = []
@@ -279,40 +337,37 @@ def run_reduce(
             log.append({"sender": msg.sender,
                         "recipients": list(msg.recipients),
                         "kind": msg.kind, "bits": msg.bit_length})
-        live = [c for c in msg.components if c.bit_length]
-        truth = [_component_block(c, seed, T) for c in live]
-        nbytes = (msg.bit_length + 7) // 8
-        interference = [_aligned(block, nbytes) for block in truth]
-        payload = _aligned(msg.payload, nbytes)
-        for j, (component, block) in enumerate(zip(live, truth)):
+
+    # (message index, component index) -> failure
+    found: dict[tuple[int, int], tuple[int, int, int, str]] = {}
+    for index, blocks in _message_blocks(instance, messages):
+        live = _live(messages[index].components)
+        nbytes = (messages[index].bit_length + 7) // 8
+        residual = _aligned(messages[index].payload, nbytes)
+        lengths = []
+        for block in blocks:
+            lengths.append(len(block))
+            residual ^= _aligned(block, nbytes)
+            del block  # before the next one is cut
+        for j, (component, length) in enumerate(zip(live, lengths)):
             i = component.recipient
-            store = stores[i]
-            cancelled = payload
-            for o, (other, other_bits) in enumerate(zip(live, interference)):
-                if o == j:
-                    continue
-                if other.files not in store:
-                    fail(i, other.functions.start, other.files.start,
-                         "side-information file absent from Map store")
-                    break
-                cancelled ^= other_bits
-            else:
-                own = (cancelled >> 8 * (nbytes - len(block))).to_bytes(
-                    len(block), "big")
-                if own != block:
-                    count = len(component.functions) * len(component.files)
-                    wrong = next(
-                        (pair for pair, x, y in zip(
-                            component.pairs(), unpack_ivs(own, count, T),
-                            unpack_ivs(block, count, T)) if x != y),
-                        None)
-                    if wrong is not None:
-                        fail(i, *wrong, "recovered IV differs from ground truth")
-                        continue
-                wanted = instance.functions_of[i]
-                if (component.functions.start <= wanted.start
-                        and wanted.stop <= component.functions.stop):
-                    delivered[i].append(component.files)
+            absent = next((other for o, other in enumerate(live)
+                           if o != j and other.files not in stores[i]), None)
+            if absent is not None:
+                found[index, j] = (i, absent.functions.start, absent.files.start,
+                                   "side-information file absent from Map store")
+                continue
+            wrong = _first_wrong(
+                component, residual >> 8 * (nbytes - length), length, T)
+            if wrong is not None:
+                found[index, j] = (i, *wrong, "recovered IV differs from ground truth")
+                continue
+            wanted = instance.functions_of[i]
+            if (component.functions.start <= wanted.start
+                    and wanted.stop <= component.functions.stop):
+                delivered[i].append(component.files)
+    for key in sorted(found):
+        fail(*found[key])
 
     for i in range(1, K + 1):
         functions = instance.functions_of[i]

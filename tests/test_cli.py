@@ -417,6 +417,19 @@ class TestBoundGap:
         ratio = Fraction(data["gap_to_homogeneous"]["exact"])
         assert Fraction(14, 10) < ratio < Fraction(16, 10)
 
+    def test_unprintable_derived_value_refused_by_name(self, capsys, config_path):
+        # each load is under RATIONAL_DIGITS_CAP, and `load` answers, but the
+        # gap ratio's numerator has more digits than Python prints
+        qs = [10 ** 450 + 1 + 2 * i for i in range(5)]
+        cfg = {"m": [f"{q // 2}/{q}" for q in qs], "strategy": "even"}
+        assert cli.main(["load", "--config", config_path(cfg)]) == 0
+        capsys.readouterr()
+        assert cli.main(["gap", "--config", config_path(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: a derived value has more than MAX_PRECISION=4300 digits")
+
 
 class TestTable:
     def test_table1_json(self, capsys):

@@ -126,6 +126,68 @@ def small_simulations(draw):
     return p, plan, w, draw(st.integers(1, 600)), draw(st.integers(0, 2 ** 64 - 1))
 
 
+def reference_reduce(instance, stores, messages):
+    """(failures, decode_success) of a per-message decoder.
+
+    For each message it rebuilds every live component's block, cancels the
+    other blocks out of the zero-padded payload after checking that the
+    recipient's store holds their files, and compares the recovered IVs with
+    its own block's. Then every node's delivered and mapped files must cover
+    1..N. This is the decoder ``run_reduce`` replaced; its failures are the
+    ones ``run_reduce`` must report, in the same order.
+    """
+    N, K, T, seed = instance.N, instance.K, instance.T, instance.seed
+    failures = []
+    delivered = {k: [] for k in range(1, K + 1)}
+    for msg in messages:
+        live = [c for c in msg.components if c.bit_length]
+        truth = [_component_block(c, seed, T) for c in live]
+        nbytes = (msg.bit_length + 7) // 8
+        aligned = [int.from_bytes(b, "big") << 8 * (nbytes - len(b))
+                   for b in (msg.payload, *truth)]
+        payload, interference = aligned[0], aligned[1:]
+        for j, (component, block) in enumerate(zip(live, truth)):
+            i = component.recipient
+            absent = [other for o, other in enumerate(live)
+                      if o != j and other.files not in stores[i]]
+            if absent:
+                failures.append((i, absent[0].functions.start,
+                                 absent[0].files.start,
+                                 "side-information file absent from Map store"))
+                continue
+            cancelled = payload
+            for o, bits in enumerate(interference):
+                if o != j:
+                    cancelled ^= bits
+            own = (cancelled >> 8 * (nbytes - len(block))).to_bytes(
+                len(block), "big")
+            count = len(component.functions) * len(component.files)
+            wrong = next((pair for pair, x, y in zip(
+                component.pairs(), unpack_ivs(own, count, T),
+                unpack_ivs(block, count, T)) if x != y), None)
+            if wrong is not None:
+                failures.append((i, *wrong, "recovered IV differs from ground truth"))
+                continue
+            wanted = instance.functions_of[i]
+            if (component.functions.start <= wanted.start
+                    and wanted.stop <= component.functions.stop):
+                delivered[i].append(component.files)
+    for i in range(1, K + 1):
+        functions = instance.functions_of[i]
+        if not functions:
+            continue
+        covered = 1
+        for files in sorted(chain(instance.files_of[i], delivered[i]),
+                            key=lambda r: r.start):
+            if files.start > covered:
+                break
+            covered = max(covered, files.stop)
+        if covered <= N:
+            failures.append((i, functions.start, covered, "IV never delivered"))
+    failed = {node for node, _, _, _ in failures}
+    return failures, {k: k not in failed for k in range(1, K + 1)}
+
+
 class TestIvGeneration:
     def test_deterministic_and_bounded(self):
         for T in (1, 7, 16, 32, 700):
@@ -163,6 +225,10 @@ class TestIvGeneration:
         assert list(component.pairs())[:4] == [
             (functions[0], 5), (functions[1], 5), (functions[2], 5),
             (functions[0], 6)]
+        # cut from a sender-wide buffer: wider rows, starting three files early
+        stride = ((functions.stop + 2) * T + 7) // 8
+        rows = simulator._rows(17, range(2, 12), stride)
+        assert simulator._cut(rows, stride, 2, component, T) == expected
 
     @pytest.mark.parametrize("T", [1, 7, 32, 517])
     def test_iv_value_is_a_prefix_of_the_file_row(self, T):
@@ -176,6 +242,34 @@ class TestIvGeneration:
             for q in range(1, Q + 1):
                 assert iv_value(seed, q, n, T) == (
                     bits >> (Q - q) * T & ((1 << T) - 1))
+
+
+class TestHashing:
+    @pytest.mark.parametrize("profile, w, T", [
+        (WORKED, WORKED_W, 32), (HETERO3, HETERO3_W, 13)])
+    def test_each_phase_hashes_each_file_at_most_once(
+            self, monkeypatch, profile, w, T):
+        plan = build_plan(profile)
+        N = minimal_file_count(plan)
+        inst = materialize(plan, w, N=N, Q=minimal_function_count(w), T=T,
+                           seed=7)
+        stores = run_map(inst)
+        hashed: list[range] = []
+        real = simulator._rows
+
+        def counted(seed, files, nbytes):
+            hashed.append(files)
+            return real(seed, files, nbytes)
+
+        monkeypatch.setattr(simulator, "_rows", counted)
+        msgs = build_shuffle(inst, plan)
+        shuffle_files = list(chain.from_iterable(hashed))
+        hashed.clear()
+        report = run_reduce(inst, stores, msgs)
+        reduce_files = list(chain.from_iterable(hashed))
+        for files in (shuffle_files, reduce_files):
+            assert 0 < len(files) == len(set(files)) <= N
+        assert all(report.decode_success.values())
 
 
 class TestRunMap:
@@ -419,6 +513,42 @@ class TestRunReduce:
         first_q, first_n = next(component.pairs())
         assert (err.value.node, err.value.q, err.value.n) == (
             component.recipient, first_q, first_n)
+
+    @pytest.mark.parametrize("T", [13, 16])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_failures_match_a_per_message_decoder(self, T, seed):
+        # faults at several senders: bits flipped in two senders' messages,
+        # two shared sub-batches withheld from Map stores
+        rng = random.Random(seed)
+        p = validate_profile(["1/4", "1/3", "1/2", "3/5"])
+        w = validate_assignment(["1/6", "1/3", "1/6", "1/3"], 4)
+        plan = build_plan(p)
+        inst = materialize(plan, w, N=minimal_file_count(plan),
+                           Q=minimal_function_count(w), T=T, seed=seed)
+        stores = run_map(inst)
+        msgs = build_shuffle(inst, plan)
+        senders = rng.sample(sorted({m.sender for m in msgs}), 2)
+        for sender in senders:
+            index = rng.choice([j for j, m in enumerate(msgs)
+                                if m.sender == sender])
+            payload = bytearray(msgs[index].payload)
+            bit = rng.randrange(msgs[index].bit_length)
+            payload[bit // 8] ^= 0x80 >> bit % 8
+            msgs[index] = replace(msgs[index], payload=bytes(payload))
+        shared = [(k, files) for k, ranges in inst.files_of.items()
+                  for files in ranges[1:]]
+        for k, files in rng.sample(shared, 2):
+            stores[k] -= {files}
+
+        failures, decode_success = reference_reduce(inst, stores, msgs)
+        assert len(failures) >= 2
+        report = run_reduce(inst, stores, msgs, strict=False)
+        assert report.failures == failures
+        assert report.decode_success == decode_success
+        with pytest.raises(DecodeFailureError) as err:
+            run_reduce(inst, stores, msgs)
+        assert (err.value.node, err.value.q, err.value.n,
+                err.value.reason) == failures[0]
 
     @settings(max_examples=40, deadline=None)
     @given(small_simulations())
