@@ -8,13 +8,14 @@ one slice of each file's row. Multicast payloads XOR per-recipient blocks
 after zero-padding the shorter blocks at the tail, exactly as the load
 accounting assumes. Shuffle and Reduce each hash every row they need once:
 they take the messages sender by sender, hash the sender's rows at full
-width into one buffer and cut every block of its messages from it. Reduce
-hashes its own rows, so ground truth never comes from the payload, and
-decodes with one residual per message, the payload XOR all its blocks: a
-recipient recovers its block exactly when the residual's leading bytes, as
-many as its block has, are zero. A node's Map store is the set of file
-ranges it holds, and delivery is tracked as file ranges per recipient,
-which with the node's own files must cover 1..N.
+width into one buffer and XOR every message's blocks into its truth. The
+Shuffle payload is that truth. Reduce hashes its own rows, so ground truth
+never comes from the payload; it checks each message's shape, then decodes
+with one residual, the payload XOR the truth: a recipient recovers its
+block exactly when the residual's leading bits, as many as its block has,
+are zero. A node's Map store is the set of file ranges it holds, and
+delivery is tracked as file ranges per recipient, which with the node's
+own files must cover 1..N.
 """
 
 from __future__ import annotations
@@ -151,11 +152,12 @@ def _component_block(component: MessageComponent, seed: int, T: int) -> bytes:
     return bytes(_cut(rows, stride, component.files.start, component, T))
 
 
-def _message_blocks(instance: MaterializedInstance,
+def _message_truths(instance: MaterializedInstance,
                     messages: Sequence[ShuffleMessage]):
-    """Yield (index, blocks) for each message with a live component, grouped
-    by sender; ``blocks`` cuts the block of each live component, in order,
-    as it is read, so read it before the next message.
+    """Yield (index, truth) for each message with a live component, grouped
+    by sender: ``truth`` is the int XOR of its live components' true blocks,
+    each zero-extended at the tail to (bits + 7) // 8 bytes, where bits is
+    the longest live component's bit length.
 
     A sender's blocks all come from one buffer: the full-width rows of the
     files from the lowest to the highest any of its live components holds,
@@ -174,22 +176,14 @@ def _message_blocks(instance: MaterializedInstance,
         rows = _rows(instance.seed, range(first, max(f.stop for f in files)),
                      stride)
         for index in indices:
-            yield index, (_cut(rows, stride, first, c, T)
-                          for c in _live(messages[index].components))
+            live = _live(messages[index].components)
+            nbytes = (max(c.bit_length for c in live) + 7) // 8
+            truth = 0
+            for c in live:  # cut inline: the block is freed before the XOR
+                pad = 8 * (nbytes - (c.bit_length + 7) // 8)
+                truth ^= int.from_bytes(_cut(rows, stride, first, c, T), "big") << pad
+            yield index, truth
         del rows
-
-
-def _aligned(block: bytes, nbytes: int) -> int:
-    """block as an int, zero-extended at the tail to nbytes."""
-    return int.from_bytes(block, "big") << (8 * (nbytes - len(block)))
-
-
-def _xor_aligned(blocks: Sequence[bytes], nbytes: int) -> bytes:
-    """XOR byte strings aligned at the head, zero-extended to nbytes."""
-    acc = 0
-    for block in blocks:
-        acc ^= _aligned(block, nbytes)
-    return acc.to_bytes(nbytes, "big")
 
 
 def _live(components: Iterable[MessageComponent]) -> tuple[MessageComponent, ...]:
@@ -236,11 +230,9 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
             for k in range(1, K + 1) if k not in psi]
     messages = [msg for msg in messages if msg.bit_length]
 
-    for index, blocks in _message_blocks(instance, messages):
-        blocks = list(blocks)
-        messages[index] = replace(messages[index], payload=(
-            bytes(blocks[0]) if len(blocks) == 1
-            else _xor_aligned(blocks, max(map(len, blocks)))))
+    for index, truth in _message_truths(instance, messages):
+        messages[index] = replace(messages[index], payload=truth.to_bytes(
+            (messages[index].bit_length + 7) // 8, "big"))
     return messages
 
 
@@ -277,15 +269,13 @@ class SimulationReport:
         return data
 
 
-def _first_wrong(component: MessageComponent, diff: int, nbytes: int,
+def _first_wrong(component: MessageComponent, diff: int,
                  T: int) -> tuple[int, int] | None:
     """The first (q, n) of the component whose T-bit slot of diff, the
-    nbytes-long XOR of recovered and true blocks, is nonzero."""
-    count = len(component.functions) * len(component.files)
-    diff >>= 8 * nbytes - count * T
+    component.bit_length-bit XOR of recovered and true IVs, is nonzero."""
     if not diff:
         return None
-    file, function = divmod((count * T - diff.bit_length()) // T,
+    file, function = divmod((component.bit_length - diff.bit_length()) // T,
                             len(component.functions))
     return component.functions.start + function, component.files.start + file
 
@@ -300,15 +290,19 @@ def run_reduce(
     """Decode every message at its recipients and verify full recovery.
 
     Ground truth comes from the rows, hashed here once per sender as in
-    ``build_shuffle``, never from the payload. Each message's residual is
-    the zero-padded payload XOR all its components' true blocks. A
-    recipient first checks that its Map store holds the other components'
-    file ranges; it then decodes correctly exactly when the residual's
-    leading bytes, as many as its own block has, are zero, since cancelling
-    the other blocks leaves it its own block XOR those bytes. The first
-    wrong (q, n) is the first nonzero T-bit slot there. Failures are
-    reported in message order, then component order. Afterwards each
-    node's delivered file ranges, with the files it maps, must cover 1..N.
+    ``build_shuffle``, never from the payload. A message must first have
+    the shape its live components fix: bit_length that of the longest one
+    and a payload of (bit_length + 7) // 8 bytes; otherwise every live
+    component fails at its first (q, n). Each message's residual is the
+    payload XOR its truth, the XOR of its components' zero-padded true
+    blocks. A recipient then checks that its Map store holds the other
+    components' file ranges; it decodes correctly exactly when the
+    residual's leading bits, as many as its own component has, are zero,
+    since cancelling the other blocks leaves it its own block XOR those
+    bits. The first wrong (q, n) is the first nonzero T-bit slot there.
+    Failures are reported in message order, then component order; strict
+    mode raises the first. Afterwards each node's delivered file ranges,
+    with the files it maps, must cover 1..N.
 
     Range membership is exact: in a coded message from sender s to psi,
     recipient i's component is the whole sub-batch (s, psi - {i}), and
@@ -318,56 +312,41 @@ def run_reduce(
     N, Q, T = instance.N, instance.Q, instance.T
     K = instance.K
     delivered: dict[int, list[range]] = {k: [] for k in range(1, K + 1)}
-    failures: list[tuple[int, int, int, str]] = []
-    decode_success = {k: True for k in range(1, K + 1)}
-    per_sender_bits = {k: 0 for k in range(1, K + 1)}
-    total_bits = 0
-    log: list[dict] | None = [] if log_messages else None
-
-    def fail(node: int, q: int, n: int, reason: str):
-        if strict:
-            raise DecodeFailureError(node, q, n, reason)
-        decode_success[node] = False
-        failures.append((node, q, n, reason))
-
-    for msg in messages:
-        per_sender_bits[msg.sender] += msg.bit_length
-        total_bits += msg.bit_length
-        if log is not None:
-            log.append({"sender": msg.sender,
-                        "recipients": list(msg.recipients),
-                        "kind": msg.kind, "bits": msg.bit_length})
-
-    # (message index, component index) -> failure
-    found: dict[tuple[int, int], tuple[int, int, int, str]] = {}
-    for index, blocks in _message_blocks(instance, messages):
-        live = _live(messages[index].components)
-        nbytes = (messages[index].bit_length + 7) // 8
-        residual = _aligned(messages[index].payload, nbytes)
-        lengths = []
-        for block in blocks:
-            lengths.append(len(block))
-            residual ^= _aligned(block, nbytes)
-            del block  # before the next one is cut
-        for j, (component, length) in enumerate(zip(live, lengths)):
+    # (message index, component index, failure)
+    found: list[tuple[int, int, tuple[int, int, int, str]]] = []
+    for index, truth in _message_truths(instance, messages):
+        msg = messages[index]
+        live = _live(msg.components)
+        bits = max(c.bit_length for c in live)
+        nbytes = (bits + 7) // 8
+        if (msg.bit_length, len(msg.payload)) != (bits, nbytes):
+            reason = (f"message of {msg.bit_length} bits in {len(msg.payload)}"
+                      f" bytes, not {bits} bits in {nbytes} bytes")
+            found += [(index, j, (c.recipient, c.functions.start,
+                                  c.files.start, reason))
+                      for j, c in enumerate(live)]
+            continue
+        residual = int.from_bytes(msg.payload, "big") ^ truth
+        for j, component in enumerate(live):
             i = component.recipient
             absent = next((other for o, other in enumerate(live)
                            if o != j and other.files not in stores[i]), None)
             if absent is not None:
-                found[index, j] = (i, absent.functions.start, absent.files.start,
-                                   "side-information file absent from Map store")
+                found.append((index, j, (
+                    i, absent.functions.start, absent.files.start,
+                    "side-information file absent from Map store")))
                 continue
             wrong = _first_wrong(
-                component, residual >> 8 * (nbytes - length), length, T)
+                component, residual >> 8 * nbytes - component.bit_length, T)
             if wrong is not None:
-                found[index, j] = (i, *wrong, "recovered IV differs from ground truth")
+                found.append((index, j, (
+                    i, *wrong, "recovered IV differs from ground truth")))
                 continue
             wanted = instance.functions_of[i]
             if (component.functions.start <= wanted.start
                     and wanted.stop <= component.functions.stop):
                 delivered[i].append(component.files)
-    for key in sorted(found):
-        fail(*found[key])
+    failures = [failure for _, _, failure in sorted(found)]
 
     for i in range(1, K + 1):
         functions = instance.functions_of[i]
@@ -380,16 +359,25 @@ def run_reduce(
                 break
             covered = max(covered, files.stop)
         if covered <= N:
-            fail(i, functions.start, covered, "IV never delivered")
+            failures.append((i, functions.start, covered, "IV never delivered"))
+    if strict and failures:
+        raise DecodeFailureError(*failures[0])
 
+    per_sender_bits = {k: 0 for k in range(1, K + 1)}
+    for msg in messages:
+        per_sender_bits[msg.sender] += msg.bit_length
+    total_bits = sum(per_sender_bits.values())
+    failed = {node for node, _, _, _ in failures}
     return SimulationReport(
         total_bits=total_bits,
         measured_load=Fraction(total_bits, Q * N * T),
         per_sender_bits=per_sender_bits,
-        decode_success=decode_success,
+        decode_success={k: k not in failed for k in range(1, K + 1)},
         message_count=len(messages),
         failures=failures,
-        message_log=log,
+        message_log=[{"sender": msg.sender, "recipients": list(msg.recipients),
+                      "kind": msg.kind, "bits": msg.bit_length}
+                     for msg in messages] if log_messages else None,
     )
 
 

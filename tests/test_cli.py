@@ -317,6 +317,20 @@ class TestSimulate:
             assert captured.out == ""
             assert captured.err == message + "\n"
 
+    def test_longer_payload_is_refused_by_name_exit_3(
+            self, capsys, config_path, monkeypatch):
+        real = cli.simulator.build_shuffle
+        monkeypatch.setattr(cli.simulator, "build_shuffle", lambda inst, plan: [
+            replace(msg, payload=msg.payload + b"\0")
+            for msg in real(inst, plan)])
+        cfg = {"m": ["1/2", "1/2"], "strategy": "even"}
+        assert cli.main(["simulate", "--config", config_path(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: node 1 failed to decode IV (q=1, n=2): "
+            "message of 32 bits in 5 bytes, not 32 bits in 4 bytes\n")
+
 
 class TestSweep:
     def test_k3_boundary_row(self, capsys):

@@ -44,6 +44,16 @@ WORKED = validate_profile(["1/5", "1/3", "1/3", "1/2"])
 WORKED_W = validate_assignment(["1/8", "1/4", "1/6", "11/24"], 4)
 HETERO3 = validate_profile(["3/5", "2/3", "11/15"])
 HETERO3_W = validate_assignment(["3/10", "1/3", "11/30"], 3)
+# the computation-aware assignment, minimal N = 24 and Q = 9
+THREE = validate_profile(["1/3", "1/2", "2/3"])
+THREE_W = validate_assignment(["2/9", "1/3", "4/9"], 3)
+
+
+def three_node_shuffle():
+    """The THREE instance at T=13, seed 1, its Map stores and messages."""
+    plan = build_plan(THREE)
+    inst = materialize(plan, THREE_W, N=24, Q=9, T=13, seed=1)
+    return inst, run_map(inst), build_shuffle(inst, plan)
 
 
 def n_q_within_caps(n_min: int, q_min: int) -> bool:
@@ -367,6 +377,27 @@ class TestBuildShuffle:
                 (iv_value(inst.seed, q, n, 16) for q, n in comp.pairs()), 16)
             assert m.payload == expected
 
+    @pytest.mark.parametrize("profile, w, T", [
+        *(pytest.param(WORKED, WORKED_W, T, id=f"worked-T{T}")
+          for T in (1, 13, 32)),
+        *(pytest.param(THREE, THREE_W, T, id=f"three-node-T{T}")
+          for T in (1, 13, 32, 517))])
+    def test_every_payload_is_the_xor_of_its_blocks(self, profile, w, T):
+        plan = build_plan(profile)
+        inst = materialize(plan, w, N=minimal_file_count(plan),
+                           Q=minimal_function_count(w), T=T, seed=3)
+        msgs = build_shuffle(inst, plan)
+        assert any(len(m.recipients) > 1 for m in msgs)
+        for msg in msgs:
+            nbytes = (msg.bit_length + 7) // 8
+            expected = 0
+            for c in msg.components:
+                if c.bit_length:
+                    block = _component_block(c, inst.seed, T)
+                    expected ^= (int.from_bytes(block, "big")
+                                 << 8 * (nbytes - len(block)))
+            assert msg.payload == expected.to_bytes(nbytes, "big")
+
     def test_coded_message_counts(self):
         plan = build_plan(WORKED)
         N = minimal_file_count(plan)
@@ -497,6 +528,56 @@ class TestRunReduce:
         assert {node for node, _, _, _ in report.failures} == {victim.recipient}
         assert [k for k, ok in report.decode_success.items() if not ok] == [
             victim.recipient]
+
+    def test_padding_bits_are_not_checked(self):
+        inst, stores, msgs = three_node_shuffle()
+        index, msg = next((j, m) for j, m in enumerate(msgs)
+                          if len(m.recipients) > 1 and m.bit_length % 8)
+
+        def failures(bit):
+            payload = bytearray(msg.payload)
+            payload[bit // 8] ^= 0x80 >> bit % 8
+            flipped = [*msgs[:index], replace(msg, payload=bytes(payload)),
+                       *msgs[index + 1:]]
+            return run_reduce(inst, stores, flipped, strict=False).failures
+
+        for bit in range(msg.bit_length, 8 * len(msg.payload)):
+            assert failures(bit) == []
+        longest = max(msg.components, key=lambda c: c.bit_length)
+        assert failures(msg.bit_length - 1)[0] == (
+            longest.recipient, *list(longest.pairs())[-1],
+            "recovered IV differs from ground truth")
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        (lambda m: replace(m, payload=m.payload[:-1]),
+         "message of 156 bits in 19 bytes, not 156 bits in 20 bytes"),
+        (lambda m: replace(m, payload=m.payload + b"\0"),
+         "message of 156 bits in 21 bytes, not 156 bits in 20 bytes"),
+        (lambda m: replace(m, bit_length=m.bit_length - 1),
+         "message of 155 bits in 20 bytes, not 156 bits in 20 bytes"),
+    ], ids=["truncated", "longer", "short-bit-length"])
+    def test_malformed_message_fails_by_name(self, corrupt, reason):
+        inst, stores, msgs = three_node_shuffle()
+        component, = msgs[4].components
+        assert (msgs[4].bit_length, len(msgs[4].payload)) == (156, 20)
+        msgs[4] = corrupt(msgs[4])
+        first = (component.recipient, *next(component.pairs()))
+        report = run_reduce(inst, stores, msgs, strict=False)
+        assert report.failures == [
+            (*first, reason), (*first, "IV never delivered")]
+        with pytest.raises(DecodeFailureError) as err:
+            run_reduce(inst, stores, msgs)
+        assert (err.value.node, err.value.q, err.value.n,
+                err.value.reason) == (*first, reason)
+
+    def test_malformed_coded_message_fails_every_component(self):
+        inst, stores, msgs = three_node_shuffle()
+        index, msg = next((j, m) for j, m in enumerate(msgs)
+                          if len(m.recipients) > 1)
+        msgs[index] = replace(msg, payload=msg.payload[:-1])
+        report = run_reduce(inst, stores, msgs, strict=False)
+        assert [(node, q, n) for node, q, n, _ in report.failures[:2]] == [
+            (c.recipient, *next(c.pairs())) for c in msg.components]
 
     def test_dropped_unicast_is_never_delivered(self):
         p = validate_profile(["1/4", "1/3", "1/2"])
