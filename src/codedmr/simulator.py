@@ -1,21 +1,25 @@
 """Bit-exact execution of the Map, Shuffle, and Reduce phases.
 
-Intermediate values are synthetic and recomputable anywhere: file n has one
-pseudorandom row, the SHAKE-256 stream of (seed, n), and the T-bit IV of
-function q on file n is bits [(q-1)T, qT) of that row. A node's functions
-are a contiguous range, so a message component's block holds, file by file,
-one slice of each file's row. Multicast payloads XOR per-recipient blocks
-after zero-padding the shorter blocks at the tail, exactly as the load
-accounting assumes. Shuffle and Reduce each hash every row they need once:
-they take the messages sender by sender, hash the sender's rows at full
-width into one buffer and XOR every message's blocks into its truth. The
-Shuffle payload is that truth. Reduce hashes its own rows, so ground truth
-never comes from the payload; it checks each message's shape, then decodes
-with one residual, the payload XOR the truth: a recipient recovers its
-block exactly when the residual's leading bits, as many as its block has,
-are zero. A node's Map store is the set of file ranges it holds, and
-delivery is tracked as file ranges per recipient, which with the node's
-own files must cover 1..N.
+Intermediate values are synthetic and recomputable anywhere. Files come in
+chunks of CHUNK = 1,024, and function q has one pseudorandom stream per
+chunk, the SHAKE-256 output of (seed, q, chunk): with chunk, slot =
+divmod(n - 1, CHUNK), the T-bit IV of function q on file n is bits [slot·T,
+(slot + 1)·T) of that stream, so it does not depend on Q. A node's
+functions and a sub-batch's files are contiguous ranges, so a message
+component's block is function-major (for each q, the IVs of its files in
+order): one bit slice per (function, chunk) pair. Multicast payloads XOR
+per-recipient blocks after zero-padding the shorter blocks at the tail,
+exactly as the load accounting assumes. Shuffle and Reduce each squeeze a
+stream at most once: they take the messages in order of the chunk of their
+lowest live file, squeeze each stream up to file N the first time a block
+reads it and drop the streams of lower chunks. Both XOR every message's
+blocks into its truth, and the Shuffle payload is that truth. Reduce
+squeezes its own streams, so ground truth never comes from the payload; it
+checks each message's shape, then decodes with one residual, the payload
+XOR the truth: a recipient recovers its block exactly when the residual's
+leading bits, as many as its block has, are zero. A node's Map store is the
+set of file ranges it holds, and delivery is tracked as file ranges per
+recipient, which with the node's own files must cover 1..N.
 """
 
 from __future__ import annotations
@@ -39,21 +43,15 @@ from .model import DecodeFailureError, InternalConsistencyError, format_both
 
 UNICAST = "unicast"
 CODED = "coded"
+# files per XOF stream, fixed by the IV format
+CHUNK = 1024
 
 
-def _rows(seed: int, files: range, nbytes: int) -> bytearray:
-    """The first nbytes of each file's XOF row, shake_256(seed8 || n8), laid
-    back to back in one buffer: file n's row starts at (n - files.start) *
-    nbytes."""
-    base = hashlib.shake_256((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
-    rows = bytearray(len(files) * nbytes)
-    at = 0
-    for n in files:
-        xof = base.copy()
-        xof.update(n.to_bytes(8, "big"))
-        rows[at:at + nbytes] = xof.digest(nbytes)
-        at += nbytes
-    return rows
+def _stream(seed: int, q: int, chunk: int, bits: int) -> bytes:
+    """The first ``bits`` bits, in whole bytes, of function q's stream on a
+    chunk of files: shake_256(seed8 || q8 || chunk8), seed taken mod 2^64."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF) << 128 | q << 64 | chunk
+    return hashlib.shake_256(key.to_bytes(24, "big")).digest((bits + 7) // 8)
 
 
 def _bits(data: bytes, start: int, width: int) -> int:
@@ -65,29 +63,8 @@ def _bits(data: bytes, start: int, width: int) -> int:
 
 def iv_value(seed: int, q: int, n: int, T: int) -> int:
     """The T-bit intermediate value of function q on file n, as an int."""
-    return _bits(_rows(seed, range(n, n + 1), (q * T + 7) // 8), (q - 1) * T, T)
-
-
-def pack_ivs(values: Iterable[int], T: int) -> bytes:
-    """Concatenate T-bit values MSB-first; the last byte is zero-padded."""
-    out = bytearray()
-    acc = 0
-    bits = 0
-    for v in values:
-        acc = (acc << T) | v
-        bits += T
-        rest = bits & 7
-        out += (acc >> rest).to_bytes(bits >> 3, "big")
-        acc &= (1 << rest) - 1
-        bits = rest
-    if bits:
-        out.append(acc << (8 - bits))
-    return bytes(out)
-
-
-def unpack_ivs(data: bytes, count: int, T: int) -> list[int]:
-    """Inverse of pack_ivs for the first ``count`` values."""
-    return [_bits(data, i * T, T) for i in range(count)]
+    chunk, slot = divmod(n - 1, CHUNK)
+    return _bits(_stream(seed, q, chunk, (slot + 1) * T), slot * T, T)
 
 
 def run_map(instance: MaterializedInstance) -> dict[int, set[range]]:
@@ -102,7 +79,8 @@ def run_map(instance: MaterializedInstance) -> dict[int, set[range]]:
 
 @dataclass(frozen=True)
 class MessageComponent:
-    """One recipient's share of a message, file-major: for each n, every q."""
+    """One recipient's share of a message, function-major: for each q, the
+    IVs of its files in order."""
 
     recipient: int
     functions: range
@@ -110,8 +88,8 @@ class MessageComponent:
     bit_length: int
 
     def pairs(self):
-        for n in self.files:
-            for q in self.functions:
+        for q in self.functions:
+            for n in self.files:
                 yield q, n
 
 
@@ -125,65 +103,74 @@ class ShuffleMessage:
     components: tuple[MessageComponent, ...]
 
 
-def _cut(rows: bytearray, stride: int, first: int,
-         component: MessageComponent, T: int) -> bytes | bytearray:
-    """pack_ivs of the component's IVs, cut from rows that hold ``stride``
-    bytes per file from file ``first`` on (the layout ``_rows`` returns)."""
-    functions, files = component.functions, component.files
-    start = (functions.start - 1) * T
-    width = len(functions) * T
-    at = (files.start - first) * stride
-    stop = at + len(files) * stride
-    if start % 8 or width % 8:
-        return pack_ivs((_bits(rows, bit, width) for bit in range(
-            8 * at + start, 8 * stop, 8 * stride)), width)
-    # byte-aligned: copy each byte column of the block with one strided slice
-    lo, columns = at + start // 8, width // 8
-    block = bytearray(len(files) * columns)
-    for b in range(columns):
-        block[b::columns] = rows[lo + b:stop:stride]
+def _block(component: MessageComponent, T: int, stream) -> bytearray:
+    """The component's block, one ``_bits`` slice per (function, chunk) pair
+    cut from ``stream(q, chunk, bits)``, at least that stream's first bits.
+    Each slice joins the carry of under 8 bits the last one left, whole
+    bytes go into the preallocated block and the last carry is padded."""
+    lo, hi = component.files.start - 1, component.files.stop - 1
+    block = bytearray((len(component.functions) * (hi - lo) * T + 7) // 8)
+    at = carry = spare = 0  # bytes written; the carry and its bit count
+    for q in component.functions:
+        offset = lo  # of the next file, counted from 0
+        while offset < hi:
+            chunk, slot = divmod(offset, CHUNK)
+            start, width = slot * T, min(hi - offset, CHUNK - slot) * T
+            acc = carry << width | _bits(stream(q, chunk, start + width),
+                                         start, width)
+            full, spare = divmod(spare + width, 8)
+            block[at:at + full] = (acc >> spare).to_bytes(full, "big")
+            at += full
+            carry = acc & ((1 << spare) - 1)
+            offset = (chunk + 1) * CHUNK
+    if spare:
+        block[at] = carry << 8 - spare
     return block
 
 
 def _component_block(component: MessageComponent, seed: int, T: int) -> bytes:
-    """pack_ivs of the component's IVs, one row slice per file."""
-    stride = ((component.functions.stop - 1) * T + 7) // 8
-    rows = _rows(seed, component.files, stride)
-    return bytes(_cut(rows, stride, component.files.start, component, T))
+    """The component's block, each stream squeezed up to its last file."""
+    return bytes(_block(component, T, lambda *key: _stream(seed, *key)))
 
 
 def _message_truths(instance: MaterializedInstance,
                     messages: Sequence[ShuffleMessage]):
-    """Yield (index, truth) for each message with a live component, grouped
-    by sender: ``truth`` is the int XOR of its live components' true blocks,
-    each zero-extended at the tail to (bits + 7) // 8 bytes, where bits is
-    the longest live component's bit length.
+    """Yield (index, truth) for every message, in order of the chunk of its
+    lowest live file: ``truth`` is the int XOR of its live components' true
+    blocks, each zero-extended at the tail to (bits + 7) // 8 bytes, where
+    bits is the longest live component's bit length (0 with none live).
 
-    A sender's blocks all come from one buffer: the full-width rows of the
-    files from the lowest to the highest any of its live components holds,
-    hashed once. The buffer is freed before the next sender's is hashed.
+    A (function, chunk) stream is squeezed up to file N the first time a
+    block reads it, and again only for a block that reads past it, which
+    no file of the instance does. Once the lowest live file's chunk rises,
+    no later block reads the chunks below it, so their streams are dropped:
+    each stream is squeezed at most once per call.
     """
-    T = instance.T
-    stride = (instance.Q * T + 7) // 8
-    by_sender: dict[int, list[int]] = {}
-    for index, msg in enumerate(messages):
-        if _live(msg.components):
-            by_sender.setdefault(msg.sender, []).append(index)
-    for indices in by_sender.values():
-        files = [c.files for index in indices
-                 for c in _live(messages[index].components)]
-        first = min(f.start for f in files)
-        rows = _rows(instance.seed, range(first, max(f.stop for f in files)),
-                     stride)
-        for index in indices:
-            live = _live(messages[index].components)
-            nbytes = (max(c.bit_length for c in live) + 7) // 8
-            truth = 0
-            for c in live:  # cut inline: the block is freed before the XOR
-                pad = 8 * (nbytes - (c.bit_length + 7) // 8)
-                truth ^= int.from_bytes(_cut(rows, stride, first, c, T), "big") << pad
-            yield index, truth
-        del rows
+    N, T, seed = instance.N, instance.T, instance.seed
+    streams: dict[tuple[int, int], bytes] = {}
+
+    def stream(q: int, chunk: int, bits: int) -> bytes:
+        data = streams.get((q, chunk), b"")
+        if 8 * len(data) < bits:
+            data = streams[q, chunk] = _stream(
+                seed, q, chunk, max(bits, min(CHUNK, N - chunk * CHUNK) * T))
+        return data
+
+    lows = [(min((c.files.start for c in _live(msg.components)), default=1)
+             - 1) // CHUNK for msg in messages]
+    floor = 0
+    for index in sorted(range(len(messages)), key=lows.__getitem__):
+        if lows[index] > floor:
+            floor = lows[index]
+            for key in [key for key in streams if key[1] < floor]:
+                del streams[key]
+        live = _live(messages[index].components)
+        nbytes = (max((c.bit_length for c in live), default=0) + 7) // 8
+        truth = 0
+        for c in live:  # the block is freed before the XOR
+            pad = 8 * (nbytes - (c.bit_length + 7) // 8)
+            truth ^= int.from_bytes(_block(c, T, stream), "big") << pad
+        yield index, truth
 
 
 def _live(components: Iterable[MessageComponent]) -> tuple[MessageComponent, ...]:
@@ -198,8 +185,8 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
     IVs from each batch owner. Surplus nodes are served by coded multicasts:
     for each subset of surplus nodes and each outside sender, the sender XORs
     the zero-padded per-recipient blocks of its own batch's sub-batches.
-    Messages are listed in that order; their blocks are cut sender by sender
-    from one row buffer each.
+    Messages are listed in that order; their payloads are filled in from
+    ``_message_truths`` afterwards.
     """
     K = instance.K
     T = instance.T
@@ -275,8 +262,8 @@ def _first_wrong(component: MessageComponent, diff: int,
     component.bit_length-bit XOR of recovered and true IVs, is nonzero."""
     if not diff:
         return None
-    file, function = divmod((component.bit_length - diff.bit_length()) // T,
-                            len(component.functions))
+    function, file = divmod((component.bit_length - diff.bit_length()) // T,
+                            len(component.files))
     return component.functions.start + function, component.files.start + file
 
 
@@ -289,11 +276,13 @@ def run_reduce(
 ) -> SimulationReport:
     """Decode every message at its recipients and verify full recovery.
 
-    Ground truth comes from the rows, hashed here once per sender as in
+    Ground truth comes from the streams, squeezed here as in
     ``build_shuffle``, never from the payload. A message must first have
     the shape its live components fix: bit_length that of the longest one
-    and a payload of (bit_length + 7) // 8 bytes; otherwise every live
-    component fails at its first (q, n). Each message's residual is the
+    (0 with none) and a payload of (bit_length + 7) // 8 bytes; otherwise
+    every live component, or every component if none is live, fails at its
+    first (q, n), and a message with no component fails once at its sender
+    with q = n = 0. Each message's residual is the
     payload XOR its truth, the XOR of its components' zero-padded true
     blocks. A recipient then checks that its Map store holds the other
     components' file ranges; it decodes correctly exactly when the
@@ -317,14 +306,15 @@ def run_reduce(
     for index, truth in _message_truths(instance, messages):
         msg = messages[index]
         live = _live(msg.components)
-        bits = max(c.bit_length for c in live)
+        bits = max((c.bit_length for c in live), default=0)
         nbytes = (bits + 7) // 8
         if (msg.bit_length, len(msg.payload)) != (bits, nbytes):
             reason = (f"message of {msg.bit_length} bits in {len(msg.payload)}"
                       f" bytes, not {bits} bits in {nbytes} bytes")
             found += [(index, j, (c.recipient, c.functions.start,
                                   c.files.start, reason))
-                      for j, c in enumerate(live)]
+                      for j, c in enumerate(live or msg.components)
+                      ] or [(index, 0, (msg.sender, 0, 0, reason))]
             continue
         residual = int.from_bytes(msg.payload, "big") ^ truth
         for j, component in enumerate(live):

@@ -35,6 +35,22 @@ def random_assignment(rng: random.Random, K: int) -> FunctionAssignment:
                 w=tuple(Fraction(a, total) for a in weights))
 
 
+def pack_ivs(values, T: int) -> bytes:
+    """Concatenate T-bit values MSB-first; the last byte is zero-padded.
+
+    A reference packer over bit strings, sharing no code with the simulator,
+    that its blocks are checked against."""
+    bits = "".join(format(v, f"0{T}b") for v in values)
+    bits += "0" * (-len(bits) % 8)
+    return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+
+
+def unpack_ivs(data: bytes, count: int, T: int) -> list[int]:
+    """Inverse of pack_ivs for the first ``count`` values."""
+    bits = "".join(format(byte, "08b") for byte in data)
+    return [int(bits[i * T:(i + 1) * T], 2) for i in range(count)]
+
+
 @pytest.fixture(scope="session")
 def profile_pool():
     """1000 random profiles shared by the bound/gap acceptance sweeps."""

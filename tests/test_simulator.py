@@ -26,19 +26,19 @@ from codedmr.model import (
     validate_profile,
 )
 from codedmr.simulator import (
+    CHUNK,
     CODED,
     UNICAST,
     MessageComponent,
+    ShuffleMessage,
     _component_block,
     build_shuffle,
     iv_value,
-    pack_ivs,
     run_map,
     run_reduce,
     simulate,
-    unpack_ivs,
 )
-from conftest import random_assignment, random_profile
+from conftest import pack_ivs, random_assignment, random_profile, unpack_ivs
 
 WORKED = validate_profile(["1/5", "1/3", "1/3", "1/2"])
 WORKED_W = validate_assignment(["1/8", "1/4", "1/6", "11/24"], 4)
@@ -198,6 +198,11 @@ def reference_reduce(instance, stores, messages):
     return failures, {k: k not in failed for k in range(1, K + 1)}
 
 
+# SHA-256 of the IVs in TestIvGeneration.test_known_answer
+KNOWN_ANSWER = (
+    "3112f1659e19e9673652de1c2c982f293dc9c15ee30e04379a6f57057398379a")
+
+
 class TestIvGeneration:
     def test_deterministic_and_bounded(self):
         for T in (1, 7, 16, 32, 700):
@@ -232,26 +237,61 @@ class TestIvGeneration:
         expected = pack_ivs(
             (iv_value(17, q, n, T) for q, n in component.pairs()), T)
         assert _component_block(component, 17, T) == expected
-        assert list(component.pairs())[:4] == [
-            (functions[0], 5), (functions[1], 5), (functions[2], 5),
-            (functions[0], 6)]
-        # cut from a sender-wide buffer: wider rows, starting three files early
-        stride = ((functions.stop + 2) * T + 7) // 8
-        rows = simulator._rows(17, range(2, 12), stride)
-        assert simulator._cut(rows, stride, 2, component, T) == expected
+        assert list(component.pairs())[:5] == [
+            (functions[0], 5), (functions[0], 6), (functions[0], 7),
+            (functions[0], 8), (functions[1], 5)]
+        # cut from whole-chunk streams, squeezed past the block's last file
+        assert simulator._block(component, T, lambda q, chunk, bits: (
+            simulator._stream(17, q, chunk, CHUNK * T))) == expected
 
     @pytest.mark.parametrize("T", [1, 7, 32, 517])
     def test_iv_value_is_a_prefix_of_the_file_row(self, T):
-        seed, n = 2 ** 64 + 3, 11  # the seed is taken mod 2^64
-        for Q in (1, 5, 24):
-            nbits = Q * T
-            row = hashlib.shake_256(
-                (3).to_bytes(8, "big") + n.to_bytes(8, "big")
-            ).digest((nbits + 7) // 8)
-            bits = int.from_bytes(row, "big") >> (-nbits % 8)
-            for q in range(1, Q + 1):
-                assert iv_value(seed, q, n, T) == (
-                    bits >> (Q - q) * T & ((1 << T) - 1))
+        # an IV is a slice of its (function, chunk) stream, whatever Q is
+        seed = 2 ** 64 + 3  # the seed is taken mod 2^64
+        for n in (1, 11, CHUNK, CHUNK + 1, 2 * CHUNK + 5):
+            chunk, slot = divmod(n - 1, CHUNK)
+            for Q in (1, 5, 24):
+                for q in range(1, Q + 1):
+                    stream = hashlib.shake_256(
+                        (3).to_bytes(8, "big") + q.to_bytes(8, "big")
+                        + chunk.to_bytes(8, "big")).digest(CHUNK * T // 8)
+                    bits = int.from_bytes(stream, "big")
+                    assert iv_value(seed, q, n, T) == (
+                        bits >> (CHUNK - 1 - slot) * T & ((1 << T) - 1))
+
+    @pytest.mark.parametrize("T", [1, 7, 8, 13, 32, 517, 700])
+    @pytest.mark.parametrize("files", [range(1020, 1030), range(1, 2050)])
+    def test_block_crosses_chunk_boundaries(self, T, files):
+        component = MessageComponent(
+            recipient=1, functions=range(2, 4), files=files,
+            bit_length=2 * len(files) * T)
+        assert _component_block(component, 5, T) == pack_ivs(
+            (iv_value(5, q, n, T) for q, n in component.pairs()), T)
+
+    def test_known_answer(self):
+        # pins format v2: a change to the IV layout fails here loudly
+        cases = [(0, 1, 1, 32), (7, 3, CHUNK, 13), (2 ** 64 + 5, 2, CHUNK + 1, 517),
+                 (123, 24, 5000, 1), (9, 1, 2 * CHUNK, 700)]
+        data = b"".join(iv_value(seed, q, n, T).to_bytes((T + 7) // 8, "big")
+                        for seed, q, n, T in cases)
+        assert hashlib.sha256(data).hexdigest() == KNOWN_ANSWER
+
+    def test_block_takes_one_slice_per_function_and_chunk(self, monkeypatch):
+        calls = []
+        real = simulator._bits
+
+        def counted(data, start, width):
+            calls.append(width)
+            return real(data, start, width)
+
+        monkeypatch.setattr(simulator, "_bits", counted)
+        component = MessageComponent(
+            recipient=1, functions=range(1, 12), files=range(1000, 3100),
+            bit_length=11 * 2100 * 13)
+        _component_block(component, 3, 13)
+        # files 1000..3099 touch chunks 0..3
+        assert len(calls) == 11 * 4
+        assert sum(calls) == component.bit_length
 
 
 class TestHashing:
@@ -264,22 +304,43 @@ class TestHashing:
         inst = materialize(plan, w, N=N, Q=minimal_function_count(w), T=T,
                            seed=7)
         stores = run_map(inst)
-        hashed: list[range] = []
-        real = simulator._rows
+        hashed: list[tuple[int, int, int]] = []
+        real = simulator._stream
 
-        def counted(seed, files, nbytes):
-            hashed.append(files)
-            return real(seed, files, nbytes)
+        def counted(seed, q, chunk, bits):
+            hashed.append((q, chunk, (bits + 7) // 8))
+            return real(seed, q, chunk, bits)
 
-        monkeypatch.setattr(simulator, "_rows", counted)
+        monkeypatch.setattr(simulator, "_stream", counted)
         msgs = build_shuffle(inst, plan)
-        shuffle_files = list(chain.from_iterable(hashed))
+        shuffle_streams = hashed[:]
         hashed.clear()
         report = run_reduce(inst, stores, msgs)
-        reduce_files = list(chain.from_iterable(hashed))
-        for files in (shuffle_files, reduce_files):
-            assert 0 < len(files) == len(set(files)) <= N
+        for streams in (shuffle_streams, hashed):
+            keys = [(q, chunk) for q, chunk, _ in streams]
+            assert 0 < len(keys) == len(set(keys))
+            assert all(0 <= chunk <= (N - 1) // CHUNK for _, chunk in keys)
+            for q in {q for q, _ in keys}:
+                mine = [nbytes for p, _, nbytes in streams if p == q]
+                assert sum(mine) <= (N * T + 7) // 8 + len(mine)
         assert all(report.decode_success.values())
+
+    def test_last_chunk_is_squeezed_only_up_to_file_n(self, monkeypatch):
+        # N = 1,032 files: a full chunk, then a last chunk of 8 files
+        squeezed: dict[tuple[int, int], int] = {}
+        real = simulator._stream
+
+        def counted(seed, q, chunk, bits):
+            squeezed[q, chunk] = bits
+            return real(seed, q, chunk, bits)
+
+        monkeypatch.setattr(simulator, "_stream", counted)
+        inst, plan, report = simulate(THREE, THREE_W, N=1032, T=13, seed=6)
+        assert (inst.N, inst.Q) == (1032, 9)
+        assert all(report.decode_success.values()) and not report.failures
+        assert report.measured_load == achievable_load(THREE, plan, THREE_W).total
+        assert {chunk for _, chunk in squeezed} == {0, 1}
+        assert {bits for (_, chunk), bits in squeezed.items() if chunk} == {8 * 13}
 
 
 class TestRunMap:
@@ -578,6 +639,53 @@ class TestRunReduce:
         report = run_reduce(inst, stores, msgs, strict=False)
         assert [(node, q, n) for node, q, n, _ in report.failures[:2]] == [
             (c.recipient, *next(c.pairs())) for c in msg.components]
+
+    def test_message_without_live_component_fails_by_name(self):
+        inst, stores, msgs = three_node_shuffle()
+        functions = inst.functions_of[2]
+        junk = ShuffleMessage(
+            sender=1, recipients=(2,), kind=UNICAST, payload=b"junk",
+            bit_length=0, components=(MessageComponent(
+                recipient=2, functions=functions, files=range(5, 5),
+                bit_length=0),))
+        report = run_reduce(inst, stores, [*msgs, junk], strict=False)
+        assert report.failures == [(
+            2, functions.start, 5,
+            "message of 0 bits in 4 bytes, not 0 bits in 0 bytes")]
+        assert report.total_bits == 1248
+
+    def test_message_without_component_fails_at_its_sender(self):
+        inst, stores, msgs = three_node_shuffle()
+        empty = ShuffleMessage(sender=3, recipients=(1,), kind=UNICAST,
+                               payload=bytes(5), bit_length=40, components=())
+        report = run_reduce(inst, stores, [*msgs, empty], strict=False)
+        assert report.failures == [(
+            3, 0, 0, "message of 40 bits in 5 bytes, not 0 bits in 0 bytes")]
+        assert report.decode_success == {1: True, 2: True, 3: False}
+        assert report.total_bits == 1288
+
+    def test_strict_mode_raises_on_message_without_live_component(self):
+        inst, stores, msgs = three_node_shuffle()
+        junk = replace(msgs[0], payload=b"junk", bit_length=0, components=(
+            replace(msgs[0].components[0], bit_length=0),))
+        component, = junk.components
+        with pytest.raises(DecodeFailureError) as err:
+            run_reduce(inst, stores, [*msgs, junk])
+        assert (err.value.node, err.value.q, err.value.n, err.value.reason) == (
+            component.recipient, component.functions.start, component.files.start,
+            "message of 0 bits in 4 bytes, not 0 bits in 0 bytes")
+
+    def test_component_past_file_n_fails_by_name(self):
+        # its stream is squeezed again past file N, so the block is still read
+        inst, stores, msgs = three_node_shuffle()
+        component = replace(msgs[0].components[0], files=range(30, 34))
+        component = replace(component, bit_length=len(component.functions) * 4 * 13)
+        bad = replace(msgs[0], components=(component,), bit_length=component.bit_length,
+                      payload=bytes((component.bit_length + 7) // 8))
+        report = run_reduce(inst, stores, [*msgs, bad], strict=False)
+        assert report.failures[0] == (
+            component.recipient, *next(component.pairs()),
+            "recovered IV differs from ground truth")
 
     def test_dropped_unicast_is_never_delivered(self):
         p = validate_profile(["1/4", "1/3", "1/2"])
