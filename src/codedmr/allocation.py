@@ -97,21 +97,32 @@ def subbatch_fractions(
     Every l_k > 0 and every P_i < 1, so every entry is nonzero, and a node
     with P_i = 0 joins no subset, which keeps the table small when few nodes
     have surplus capacity.
+
+    Over the owner's denominator den(l_k) * prod_{i != k} den(P_i), an
+    entry's numerator is top * prod_{i in Psi} num(P_i) // prod_{i in Psi}
+    (den(P_i) - num(P_i)), where top = num(l_k) * prod_{i != k} (den(P_i) -
+    num(P_i)) is the empty subset's; the division is exact. Entries with
+    equal numerators share one Fraction, since many subsets repeat a value.
     """
     K = len(l)
     surplus = [i for i in range(1, K + 1) if P[i - 1] > 0]
-    # numerators of P_i and of 1 - P_i over den(P_i)
-    inside = {i: P[i - 1].numerator for i in surplus}
-    outside = {i: P[i - 1].denominator - P[i - 1].numerator for i in surplus}
+    # numerators of P_i and of 1 - P_i over den(P_i), indexed by node
+    inside = [0, *(p.numerator for p in P)]
+    outside = [0, *(p.denominator - p.numerator for p in P)]
     table: dict[SubbatchKey, Fraction] = {}
     for k in range(1, K + 1):
         others = [i for i in surplus if i != k]
         den = l[k - 1].denominator * math.prod(P[i - 1].denominator for i in others)
+        top = l[k - 1].numerator * math.prod(map(outside.__getitem__, others))
+        values: dict[int, Fraction] = {}
         for size in range(len(others) + 1):
             for psi in combinations(others, size):
-                num = l[k - 1].numerator * math.prod(
-                    inside[i] if i in psi else outside[i] for i in others)
-                table[(k, psi)] = Fraction(num, den)
+                num = (top * math.prod(map(inside.__getitem__, psi))
+                       // math.prod(map(outside.__getitem__, psi)))
+                value = values.get(num)
+                if value is None:
+                    value = values[num] = Fraction(num, den)
+                table[(k, psi)] = value
     return table
 
 

@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import allocation, analytics, assignment as fa, presets, simulator
 from .model import (
@@ -156,8 +157,14 @@ def cmd_plan(args) -> dict:
         listing = {"subbatch": None, "subbatch_count": count}
     else:
         table = allocation.subbatch_fractions(plan.l, plan.P)
+        # entries of equal value mostly share one Fraction, and hashing a
+        # Fraction costs more than formatting it, so look objects up by id
+        # and format each distinct value once
+        objects = {id(frac): frac for frac in table.values()}
+        texts = {frac: format_rational(frac) for frac in set(objects.values())}
+        names = {key: texts[frac] for key, frac in objects.items()}
         listing = {"subbatch": [
-            {"owner": owner, "subset": list(psi), "fraction": format_rational(frac)}
+            {"owner": owner, "subset": psi, "fraction": names[id(frac)]}
             for (owner, psi), frac in table.items()]}
     functions = {}
     for strategy in STRATEGIES:
@@ -392,6 +399,35 @@ def cmd_table(args) -> dict | str:
     return text
 
 
+def _render(value, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` renders it, byte for
+    byte: a dict with str keys, a list or tuple, a str, an int, a bool or
+    None, nested. Any other value or key type raises TypeError. ``pad`` is
+    the line break and indent that ``value`` is nested at."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        # encode_basestring_ascii raises TypeError naming a non-str key
+        items = [f"{encode_basestring_ascii(key)}: {_render(item, inner)}"
+                 for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = (map(int.__repr__, value) if set(map(type, value)) == {int}
+                 else [_render(item, inner) for item in value])
+        brackets = "[]"
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 COMMANDS = {
     "plan": cmd_plan,
     "load": cmd_load,
@@ -409,7 +445,7 @@ def main(argv=None) -> int:
     try:
         output = COMMANDS[args.command](args)
         if not isinstance(output, str):
-            output = json.dumps(output, indent=2) + "\n"
+            output = _render(output) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(output)

@@ -267,6 +267,21 @@ def _first_wrong(component: MessageComponent, diff: int,
     return component.functions.start + function, component.files.start + file
 
 
+def _misfit(component: MessageComponent, N: int, Q: int, T: int) -> str | None:
+    """Why the component lies outside an instance of N files, Q functions
+    and T-bit IVs, or None if it fits."""
+    files, functions = component.files, component.functions
+    if not (1 <= files.start and files.stop <= N + 1):
+        return f"files {files.start}..{files.stop - 1} outside 1..{N}"
+    if not (1 <= functions.start and functions.stop <= Q + 1):
+        return f"functions {functions.start}..{functions.stop - 1} outside 1..{Q}"
+    shape = len(functions) * len(files) * T
+    if component.bit_length != shape:
+        return (f"component of {component.bit_length} bits, not {len(functions)}"
+                f" functions x {len(files)} files x {T} bits = {shape}")
+    return None
+
+
 def run_reduce(
     instance: MaterializedInstance,
     stores: Mapping[int, set[range]],
@@ -277,8 +292,12 @@ def run_reduce(
     """Decode every message at its recipients and verify full recovery.
 
     Ground truth comes from the streams, squeezed here as in
-    ``build_shuffle``, never from the payload. A message must first have
-    the shape its live components fix: bit_length that of the longest one
+    ``build_shuffle``, never from the payload. First, before any stream is
+    squeezed, a component whose files are not within 1..N, whose functions
+    are not within 1..Q or whose bit_length is not len(functions) *
+    len(files) * T fails by name at its first (q, n), and its message is
+    not decoded. A message must then have the shape its live components
+    fix: bit_length that of the longest one
     (0 with none) and a payload of (bit_length + 7) // 8 bytes; otherwise
     every live component, or every component if none is live, fails at its
     first (q, n), and a message with no component fails once at its sender
@@ -303,7 +322,16 @@ def run_reduce(
     delivered: dict[int, list[range]] = {k: [] for k in range(1, K + 1)}
     # (message index, component index, failure)
     found: list[tuple[int, int, tuple[int, int, int, str]]] = []
-    for index, truth in _message_truths(instance, messages):
+    for index, msg in enumerate(messages):
+        for j, c in enumerate(msg.components):
+            reason = _misfit(c, N, Q, T)
+            if reason is not None:
+                found.append((index, j, (c.recipient, c.functions.start,
+                                         c.files.start, reason)))
+    refused = {index for index, _, _ in found}
+    kept = [index for index in range(len(messages)) if index not in refused]
+    for at, truth in _message_truths(instance, [messages[i] for i in kept]):
+        index = kept[at]
         msg = messages[index]
         live = _live(msg.components)
         bits = max((c.bit_length for c in live), default=0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from codedmr import allocation
 from codedmr.allocation import (
     MATERIALIZE_BIT_CAP,
     build_plan,
@@ -28,6 +29,7 @@ from codedmr.model import (
     validate_assignment,
     validate_profile,
 )
+from codedmr.presets import K12_M2
 from conftest import random_profile
 
 WORKED = validate_profile(["1/5", "1/3", "1/3", "1/2"])
@@ -147,6 +149,16 @@ class TestSubbatchFractions:
                 (f for (o, _), f in table.items() if o == k), Fraction(0))
             assert total == plan.l[k - 1]
 
+    def test_one_fraction_per_distinct_value_of_each_owner(self, monkeypatch):
+        plan = build_plan(validate_profile(K12_M2))
+        made = []
+        monkeypatch.setattr(allocation, "Fraction",
+                            lambda *args: made.append(args) or Fraction(*args))
+        table = subbatch_fractions(plan.l, plan.P)
+        assert len(table) == 24_576
+        assert len(set(table.values())) == 84
+        assert len(made) <= 504
+
     def test_count_matches_table(self):
         rng = random.Random(5)
         profiles = [WORKED, HETERO3] + [random_profile(rng, kmax=9)
@@ -159,6 +171,8 @@ class TestSubbatchFractions:
     @settings(max_examples=300, deadline=None)
     @example(["1/5", "1/3", "1/3", "1/2"])  # r = 1: P_1 = 0
     @example(["1/6", "1/6", "1/2", "1/2"])  # r = 2, tied loads
+    @example(K12_M2)  # 24,576 entries of 84 values
+    @example(["1/2"] * 10)  # 5,120 entries of one value
     @given(st.one_of(tied_loads(), random_loads()))
     def test_walk_matches_recursive_oracle(self, m):
         plan = build_plan(validate_profile(m))

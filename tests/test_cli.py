@@ -1,16 +1,23 @@
 import argparse
+import collections
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedmr import cli
-from codedmr.model import parse_rational
+from codedmr import allocation, cli
+from codedmr.model import parse_rational, validate_profile
+from codedmr.presets import K12_M2
 
 WORKED_CONFIG = {
     "K": 4,
@@ -106,6 +113,37 @@ class TestPlan:
         assert code == 0
         assert data["plan"]["subbatch"] is None
         assert data["plan"]["subbatch_count"] == count
+
+    def test_largest_listing_is_byte_identical_in_a_child_process(self, config_path):
+        # 13 nodes at 1/2: 53,248 entries, the largest all-surplus listing
+        # under PLAN_LISTING_CAP
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        start = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-m", "codedmr.cli", "plan",
+             "--config", config_path({"m": ["1/2"] * 13})],
+            capture_output=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 10.0
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert hashlib.sha256(child.stdout).hexdigest() == (
+            "83dfa1c1fb1a10afbc5aedda8059d9bc4c784f446afe0ac89db88cfbdfc6c491")
+        assert len(json.loads(child.stdout)["plan"]["subbatch"]) == 53_248
+
+    def test_formats_each_distinct_subbatch_value_once(self, config_path, monkeypatch):
+        formatted = collections.Counter()
+        format_rational = cli.format_rational
+        monkeypatch.setattr(cli, "format_rational", lambda value: formatted.update(
+            [value]) or format_rational(value))
+        args = cli.build_parser().parse_args(
+            ["plan", "--config", config_path({"m": [str(v) for v in K12_M2]})])
+        data = cli.cmd_plan(args)
+        plan = allocation.build_plan(validate_profile(K12_M2))
+        values = set(allocation.subbatch_fractions(plan.l, plan.P).values())
+        assert len(data["plan"]["subbatch"]) == 24_576
+        assert len(values) == 84
+        assert all(formatted[value] == 1 for value in values)
 
     def test_minimal_files_past_cap_reported_symbolically(self, capsys, config_path):
         cfg = {"m": ["1/2"] * 16}
@@ -501,6 +539,48 @@ class TestOutput:
         assert capsys.readouterr().out == ""
         assert isinstance(data, dict) and data["regime"]
         assert isinstance(text, str) and text.startswith("mbar,")
+
+
+# every str: quotes, backslashes, control characters and lone surrogates
+# as well as the whole Unicode range
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff'),
+                              st.characters(blacklist_categories=())),
+                    max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+    | JSON_TEXT,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=20)
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps_with_indent(self, value):
+        assert cli._render(value) == json.dumps(value, indent=2)
+
+    def test_empty_and_int_containers(self):
+        for value in ({}, [], (), [[]], {"a": {}}, [1, -2, 2 ** 70], (True, 1),
+                      [None, 0], {"subset": (1, 2)}):
+            assert cli._render(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value, name", [
+        (1.5, "float"), (Fraction(1, 2), "Fraction"), ({1}, "set"),
+        ([{"a": (1, 0.5)}], "float"), ({1: "a"}, "int"), ({None: 1}, "NoneType"),
+    ], ids=["float", "Fraction", "set", "nested-float", "int-key", "None-key"])
+    def test_other_types_raise_type_error_naming_them(self, value, name):
+        with pytest.raises(TypeError, match=name):
+            cli._render(value)
+
+    def test_int_past_the_digit_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.COMMANDS, "table", lambda args: {"n": 10 ** 4300})
+        assert cli.main(["table", "--preset", "table1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: Exceeds the limit (4300 digits)")
 
 
 class TestDeterminism:

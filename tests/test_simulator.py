@@ -666,8 +666,9 @@ class TestRunReduce:
 
     def test_strict_mode_raises_on_message_without_live_component(self):
         inst, stores, msgs = three_node_shuffle()
+        # a zero-bit component that fits the instance: no files
         junk = replace(msgs[0], payload=b"junk", bit_length=0, components=(
-            replace(msgs[0].components[0], bit_length=0),))
+            replace(msgs[0].components[0], files=range(9, 9), bit_length=0),))
         component, = junk.components
         with pytest.raises(DecodeFailureError) as err:
             run_reduce(inst, stores, [*msgs, junk])
@@ -676,16 +677,41 @@ class TestRunReduce:
             "message of 0 bits in 4 bytes, not 0 bits in 0 bytes")
 
     def test_component_past_file_n_fails_by_name(self):
-        # its stream is squeezed again past file N, so the block is still read
         inst, stores, msgs = three_node_shuffle()
         component = replace(msgs[0].components[0], files=range(30, 34))
         component = replace(component, bit_length=len(component.functions) * 4 * 13)
         bad = replace(msgs[0], components=(component,), bit_length=component.bit_length,
                       payload=bytes((component.bit_length + 7) // 8))
         report = run_reduce(inst, stores, [*msgs, bad], strict=False)
-        assert report.failures[0] == (
+        assert report.failures == [(
             component.recipient, *next(component.pairs()),
-            "recovered IV differs from ground truth")
+            "files 30..33 outside 1..24")]
+
+    @pytest.mark.parametrize("change, first, reason", [
+        ({"files": range(0, 8)}, (1, 0), "files 0..7 outside 1..24"),
+        ({"functions": range(9, 11)}, (9, 9), "functions 9..10 outside 1..9"),
+        ({"bit_length": 195}, (1, 9),
+         "component of 195 bits, not 2 functions x 8 files x 13 bits = 208"),
+    ], ids=["files", "functions", "bit-length"])
+    def test_component_outside_the_instance_is_refused_before_any_truth(
+            self, monkeypatch, change, first, reason):
+        inst, stores, msgs = three_node_shuffle()
+        component = msgs[0].components[0]
+        assert (component.functions, component.files) == (range(1, 3), range(9, 17))
+        msgs[0] = replace(msgs[0], components=(replace(component, **change),))
+        failure = (component.recipient, *first, reason)
+        with pytest.raises(DecodeFailureError) as err:
+            run_reduce(inst, stores, msgs)
+        assert (err.value.node, err.value.q, err.value.n, err.value.reason) == failure
+        blocks = []
+        block = simulator._block
+        monkeypatch.setattr(simulator, "_block", lambda c, *rest: blocks.append(c)
+                            or block(c, *rest))
+        report = run_reduce(inst, stores, msgs, strict=False)
+        assert report.failures == [failure, (1, 1, 9, "IV never delivered")]
+        # no block of the refused message is cut, every other one is
+        assert msgs[0].components[0] not in blocks
+        assert len(blocks) == sum(len(m.components) for m in msgs[1:])
 
     def test_dropped_unicast_is_never_delivered(self):
         p = validate_profile(["1/4", "1/3", "1/2"])
