@@ -15,11 +15,13 @@ from itertools import combinations
 from typing import Mapping
 
 from .model import (
+    ZERO,
     ComputationProfile,
     FunctionAssignment,
     IndivisibleInstanceError,
     InstanceTooLargeError,
     format_rational,
+    over_common_denominator,
 )
 
 # `materialize` refuses more files than this, more IV bits N*Q*T, and
@@ -61,27 +63,32 @@ def first_step(profile: ComputationProfile) -> tuple[tuple[Fraction, ...], int, 
 
     Returns the batch fractions l, the count r of nodes whose capacity is
     exhausted by their own batch, and xi, the total load of those nodes.
+
+    Over D = lcm of the denominators of m, with M_k = m_k D and A the sum
+    of M over the nodes before k, sorted node k (0-based) takes its whole
+    load M_k exactly while M_k (K - k) <= D - A. The profile is sorted, so
+    once a node fails every later one does too, and those K - r nodes all
+    get the even share a = (D - A_r) / (D (K - r)) of what is left.
     """
     K = profile.K
-    l: list[Fraction] = []
-    r = 0
-    allocated = Fraction(0)
-    for k in range(1, K + 1):
-        a_k = (1 - allocated) / (K - k + 1)
-        m_k = profile.m[k - 1]
-        if m_k <= a_k:
-            l.append(m_k)
-            r = k
-        else:
-            l.append(a_k)
-        allocated += l[-1]
-    xi = sum(profile.m[:r], Fraction(0))
-    return tuple(l), r, xi
+    D, M = over_common_denominator(profile.m)
+    r = A = 0
+    while r < K and M[r] * (K - r) <= D - A:
+        A += M[r]
+        r += 1
+    share = [Fraction(D - A, D * (K - r))] * (K - r) if r < K else []
+    return (*profile.m[:r], *share), r, Fraction(A, D)
 
 
 def surplus_ratios(l: tuple[Fraction, ...], m: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Fraction of its non-batch files each node still has capacity to map."""
-    return tuple((mk - lk) / (1 - lk) for lk, mk in zip(l, m))
+    """Fraction of its non-batch files each node still has capacity to map:
+    (m_k - l_k) / (1 - l_k), one Fraction built from integers per node."""
+    P = []
+    for lk, mk in zip(l, m):
+        num = mk.numerator * lk.denominator - lk.numerator * mk.denominator
+        P.append(Fraction(num, mk.denominator * (lk.denominator - lk.numerator))
+                 if num else ZERO)
+    return tuple(P)
 
 
 def subbatch_fractions(

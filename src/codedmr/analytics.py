@@ -2,8 +2,15 @@
 
 All results are exact rationals. The general achievable load sums the
 unicast traffic to capacity-exhausted (LowCL) nodes with the coded multicast
-traffic to surplus (HighCL) nodes; the per-strategy closed forms must agree
-with it exactly, which the test suite checks on random profiles.
+traffic to surplus (HighCL) nodes, telescoping along the s-order of the
+surplus nodes; the per-strategy closed forms must agree with it exactly,
+which the test suite checks on random profiles.
+
+Every kernel works in integers: each input vector is scaled to integers
+over the lcm of its denominators (m over D, w over E) and each P_i is read
+as a_i/b_i, so a sum of rational terms becomes one integer numerator over
+one known denominator. Only the returned values are built as Fractions,
+one gcd each, instead of one per arithmetic step.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from fractions import Fraction
 
 from .allocation import AllocationPlan, build_plan
 from .model import (
+    ZERO,
     ComputationProfile,
     FunctionAssignment,
     OutOfDomainError,
@@ -21,6 +29,7 @@ from .model import (
     TooManyNodesError,
     format_both,
     format_rational,
+    over_common_denominator,
 )
 
 SUBSET_ENUMERATION_CAP = 24
@@ -48,10 +57,16 @@ def s_ordering(plan: AllocationPlan, w: FunctionAssignment) -> tuple[int, ...]:
 
     The padded multicast block for a set is sized by its largest member under
     this figure of merit, so the load formula telescopes along this order.
+    With P_k = a_k/b_k, c_k = b_k - a_k, w_k = omega_k/E and L = lcm(a_k),
+    the merit times E L is the integer omega_k c_k (L / a_k).
     """
     nodes = range(plan.r + 1, plan.K + 1)
-    ratio = {k: w.w[k - 1] * (1 - plan.P[k - 1]) / plan.P[k - 1] for k in nodes}
-    return tuple(sorted(nodes, key=lambda k: (-ratio[k], k)))
+    P = plan.P[plan.r:]
+    E, W = over_common_denominator(w.w[plan.r:])
+    L = math.lcm(*[p.numerator for p in P])
+    merit = [omega * (p.denominator - p.numerator) * (L // p.numerator)
+             for omega, p in zip(W, P)]
+    return tuple(sorted(nodes, key=lambda k: merit[k - plan.r - 1], reverse=True))
 
 
 def achievable_load(
@@ -62,73 +77,103 @@ def achievable_load(
     """General achievable load for any profile and assignment.
 
     LowCL part: sum_{k<=r} w_k (1 - m_k). HighCL part: telescoping sum over
-    the s-ordered surplus nodes of w_{s_k} prod_{i<=k}(1-P_{s_i}) times the
-    bracket xi + (K-r-k)(1-xi)/(K-r) + ((1-xi)/(K-r)) sum_{i<k} 1/(1-P_{s_i}).
+    the s-ordered surplus nodes s_1..s_H, H = K - r, of w_{s_k}
+    prod_{i<=k}(1-P_{s_i}) times the bracket xi + (H-k)(1-xi)/H +
+    ((1-xi)/H) sum_{i<k} 1/(1-P_{s_i}).
+
+    Both parts are integer sums over one common denominator each. With
+    P_i = a_i/b_i, c_i = b_i - a_i, xi = X/D and w = omega/E, let C_k and
+    B_k be the products of c and of b over s_1..s_k, and S_k = C_k
+    sum_{i<k} b_{s_i}/c_{s_i}, an integer: S_1 = 0 and S_k = c_{s_k}
+    (S_{k-1} + b_{s_{k-1}} C_{k-2}). Then highcl is
+
+        sum_k omega_{s_k} (B_H/B_k) [C_k (H X + (H-k)(D-X)) + S_k (D-X)]
+        / (E B_H D H),
+
+    whose numerator is one Horner pass (acc = acc b_{s_k} + term k), and
+    only the three returned values are Fractions.
     """
-    r, xi, P = plan.r, plan.xi, plan.P
-    K = profile.K
-    lowcl = sum(
-        (w.w[k] * (1 - profile.m[k]) for k in range(r)), Fraction(0))
-    highcl = Fraction(0)
-    if r < K:
-        order = s_ordering(plan, w)
-        share = (1 - xi) / (K - r)
-        prod = Fraction(1)
-        inv_sum = Fraction(0)
-        for k, node in enumerate(order, start=1):
-            p = P[node - 1]
-            prod *= 1 - p
-            bracket = xi + (K - r - k) * share + share * inv_sum
-            highcl += w.w[node - 1] * prod * bracket
-            inv_sum += 1 / (1 - p)
-    else:
-        order = ()
-    return AchievableLoad(total=lowcl + highcl, lowcl=lowcl, highcl=highcl,
-                          s_order=order)
+    r, K = plan.r, profile.K
+    E, W = over_common_denominator(w.w)
+    low_den, M = over_common_denominator(profile.m[:r])
+    low = sum(omega * (low_den - Mk) for omega, Mk in zip(W, M))
+    order = s_ordering(plan, w)
+    H = K - r
+    X, D = plan.xi.numerator, plan.xi.denominator
+    acc, B, C, R = 0, 1, 1, 0  # R = C_{k-1} sum_{i<k} b_i/c_i, so S_k = c R
+    for k, node in enumerate(order, start=1):
+        p = plan.P[node - 1]
+        b = p.denominator
+        c = b - p.numerator
+        term = W[node - 1] * c * (C * (H * X + (H - k) * (D - X)) + R * (D - X))
+        acc = acc * b + term
+        B *= b
+        R = c * R + C * b
+        C *= c
+    high_den = B * D * H if H else 1
+    return AchievableLoad(
+        total=Fraction(low * high_den + acc * low_den, E * low_den * high_den),
+        lowcl=Fraction(low, E * low_den),
+        highcl=Fraction(acc, E * high_den) if H else ZERO,
+        s_order=order)
 
 
 def load_computation_aware(profile: ComputationProfile, plan: AllocationPlan) -> Fraction:
-    """Closed form for the computation-aware assignment.
+    """Closed form for the computation-aware assignment w_k = m_k / sum(m).
 
     Uses the natural node order r+1..K, which already sorts w_k(1-P_k)/P_k
     descending for this assignment (the merit m(1-m)/(m-l) decreases in m).
+    Over D = lcm of the denominators of m, with M_k = m_k D, X the sum of M
+    over the LowCL nodes, H = K - r and beta = D H - (D - X), every surplus
+    P_k is (H M_k - (D - X)) / beta and 1 - P_k is c_k / beta with
+    c_k = H (D - M_k), so the telescoping sum has one Horner step in beta
+    per node, and the load is one Fraction over D sum(M) beta^H H.
     """
-    r, xi, P = plan.r, plan.xi, plan.P
-    K = profile.K
-    total_m = profile.total
-    load = sum(
-        (profile.m[k] * (1 - profile.m[k]) / total_m for k in range(r)),
-        Fraction(0))
-    if r < K:
-        share = (1 - xi) / (K - r)
-        prod = Fraction(1)
-        inv_sum = Fraction(0)
-        for k in range(r + 1, K + 1):
-            p = P[k - 1]
-            prod *= 1 - p
-            bracket = xi + (K - k) * share + share * inv_sum
-            load += profile.m[k - 1] / total_m * prod * bracket
-            inv_sum += 1 / (1 - p)
-    return load
+    r, K = plan.r, profile.K
+    D, M = over_common_denominator(profile.m)
+    total = sum(M)
+    X = sum(M[:r])
+    low = sum(Mk * (D - Mk) for Mk in M[:r])
+    H = K - r
+    beta = D * H - (D - X)
+    acc, C, R = 0, 1, 0  # R = C_{k-1} sum_{i<k} beta/c_i
+    for k in range(1, H + 1):
+        Mk = M[r + k - 1]
+        c = H * (D - Mk)
+        acc = acc * beta + Mk * c * (C * (H * X + (H - k) * (D - X)) + R * (D - X))
+        R = c * R + C * beta
+        C *= c
+    scale = beta ** H * H if H else 1
+    return Fraction(low * scale + acc, D * total * scale)
 
 
 def load_shuffle_aware(profile: ComputationProfile, plan: AllocationPlan) -> Fraction:
-    """Closed form for the shuffle-aware assignment (needs sum(m) > 1)."""
+    """Closed form for the shuffle-aware assignment (needs sum(m) > 1):
+    (1 - xi prod - ((1-xi)/H) prod sum 1/(1-P_k)) / sum P_k/(1-P_k) over
+    the surplus nodes, prod = prod (1-P_k) and H = K - r.
+
+    With D, M_k, X, beta and c_k = H (D - M_k) as in the computation-aware
+    form, P_k/(1-P_k) = (H M_k - (D - X)) / c_k. For C = prod c_k,
+    V = sum C/c_k and U = sum (H M_k - (D - X)) C/c_k, the load is
+    C [D H beta^H - H X C - (D - X) beta V] / (D H beta^H U).
+    """
     if profile.total == 1:
         raise RequiresRedundancyError(
             "shuffle-aware load needs total computation load > 1")
-    r, xi, P = plan.r, plan.xi, plan.P
-    K = profile.K
-    odds_sum = Fraction(0)
-    prod = Fraction(1)
-    inv_sum = Fraction(0)
-    for k in range(r + 1, K + 1):
-        p = P[k - 1]
-        odds_sum += p / (1 - p)
-        prod *= 1 - p
-        inv_sum += 1 / (1 - p)
-    share = (1 - xi) / (K - r)
-    return (1 - xi * prod - share * prod * inv_sum) / odds_sum
+    r, K = plan.r, profile.K
+    D, M = over_common_denominator(profile.m)
+    X = sum(M[:r])
+    H = K - r
+    beta = D * H - (D - X)
+    C, U, V = 1, 0, 0
+    for Mk in M[r:]:
+        c = H * (D - Mk)
+        U = U * c + (H * Mk - (D - X)) * C
+        V = V * c + C
+        C *= c
+    scale = beta ** H
+    return Fraction(C * (D * H * scale - H * X * C - (D - X) * beta * V),
+                    D * H * scale * U)
 
 
 def homogeneous_even_load(K: int, m: Fraction) -> Fraction:
@@ -193,10 +238,8 @@ def lower_bound(
     if K > cap:
         raise TooManyNodesError(
             f"subset enumeration capped at {cap} nodes, profile has {K}")
-    D = math.lcm(*(v.denominator for v in profile.m))
-    E = math.lcm(*(v.denominator for v in w.w))
-    M = [v.numerator * (D // v.denominator) for v in profile.m]
-    W = [v.numerator * (E // v.denominator) for v in w.w]
+    D, M = over_common_denominator(profile.m)
+    E, W = over_common_denominator(w.w)
     mask = m_sum = w_sum = 0
     best = best_mask = 0
     for i in range(1, 1 << K):

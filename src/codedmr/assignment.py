@@ -7,9 +7,11 @@ from fractions import Fraction
 
 from .allocation import AllocationPlan
 from .model import (
+    ZERO,
     ComputationProfile,
     FunctionAssignment,
     RequiresRedundancyError,
+    over_common_denominator,
     validate_assignment,
 )
 
@@ -17,13 +19,15 @@ def even_assignment(K: int) -> FunctionAssignment:
     """Every node reduces the same share 1/K of the output functions."""
     if K < 2:
         raise ValueError("need at least two nodes")
-    return FunctionAssignment(w=tuple(Fraction(1, K) for _ in range(K)))
+    return FunctionAssignment(w=(Fraction(1, K),) * K)
 
 
 def computation_aware(profile: ComputationProfile) -> FunctionAssignment:
-    """Share proportional to each node's computation load: w_k = m_k / sum(m)."""
-    total = profile.total
-    return FunctionAssignment(w=tuple(mk / total for mk in profile.m))
+    """Share proportional to each node's computation load: w_k = m_k / sum(m),
+    that is M_k / sum(M) with M_k = m_k D over the common denominator D."""
+    _, M = over_common_denominator(profile.m)
+    total = sum(M)
+    return FunctionAssignment(w=tuple([Fraction(Mk, total) for Mk in M]))
 
 
 def shuffle_aware(profile: ComputationProfile, plan: AllocationPlan) -> FunctionAssignment:
@@ -32,14 +36,19 @@ def shuffle_aware(profile: ComputationProfile, plan: AllocationPlan) -> Function
 
     Requires sum(m) > 1; with sum(m) = 1 every node is capacity-exhausted and
     there is no surplus node to carry the functions.
+
+    With P_k = a_k/b_k and c_k = b_k - a_k, the odds P_k/(1-P_k) are a_k/c_k,
+    so over C = prod c_k each weight is a_k (C/c_k) / sum_j a_j (C/c_j).
     """
     if profile.total == 1:
         raise RequiresRedundancyError(
             "shuffle-aware assignment needs total computation load > 1")
-    odds = [p / (1 - p) for p in plan.P[plan.r:]]
-    total = sum(odds, Fraction(0))
-    w = [Fraction(0)] * plan.r + [o / total for o in odds]
-    return FunctionAssignment(w=tuple(w))
+    P = plan.P[plan.r:]
+    C = math.prod(p.denominator - p.numerator for p in P)
+    odds = [p.numerator * (C // (p.denominator - p.numerator)) for p in P]
+    total = sum(odds)
+    return FunctionAssignment(
+        w=(ZERO,) * plan.r + tuple([Fraction(o, total) for o in odds]))
 
 
 def minimal_function_count(assignment: FunctionAssignment) -> int:

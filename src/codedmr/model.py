@@ -7,10 +7,14 @@ decimals appear only at serialization time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
+# one shared exact zero (Fractions are immutable)
+ZERO = Fraction(0)
 # function-assignment strategies a config or `--strategy` may name
 STRATEGIES = ("even", "computation", "shuffle", "custom")
 # `parse_rational` refuses text whose digits plus decimal exponent exceed this
@@ -121,6 +125,17 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]) for D the lcm of the denominators; D is
+    1 for no values."""
+    # Tuples here and in the kernels are built from lists, not generators:
+    # CPython sizes a tuple drawn from a generator by a guess and resizes it,
+    # bypassing the tuple free list, but frees it onto that list, which then
+    # grows (up to 2,000 tuples per size) until a full collection.
+    D = math.lcm(*[v.denominator for v in values])
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
 def format_rational(value: Fraction) -> str:
     """Lowest-terms "p/q" form; plain "p" when the denominator is 1.
 
@@ -169,13 +184,14 @@ class ComputationProfile:
     m: tuple[Fraction, ...]
     node_labels: tuple[int, ...]
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
-        return sum(self.m, Fraction(0))
+        D, M = over_common_denominator(self.m)
+        return Fraction(sum(M), D)
 
-    @property
+    @cached_property
     def mean(self) -> Fraction:
-        return self.total / self.K
+        return Fraction(self.total.numerator, self.total.denominator * self.K)
 
     def to_json(self) -> dict:
         return {
@@ -212,16 +228,16 @@ def validate_profile(m_raw: Sequence) -> ComputationProfile:
         if not (0 < v < 1):
             raise LoadOutOfRangeError(
                 f"computation load m_{idx}={format_rational(v)} outside (0, 1)")
-    total = sum(values, Fraction(0))
-    if total < 1:
+    D, M = over_common_denominator(values)
+    if sum(M) < D:
         raise InsufficientTotalLoadError(
-            f"computation loads sum to {format_rational(total)} < 1; "
+            f"computation loads sum to {format_rational(Fraction(sum(M), D))} < 1; "
             "some input file could never be mapped")
     order = sorted(range(len(values)), key=lambda i: values[i])
     return ComputationProfile(
         K=len(values),
-        m=tuple(values[i] for i in order),
-        node_labels=tuple(i + 1 for i in order),
+        m=tuple([values[i] for i in order]),
+        node_labels=tuple([i + 1 for i in order]),
     )
 
 
@@ -238,10 +254,11 @@ def validate_assignment(w_raw: Sequence, K: int) -> FunctionAssignment:
         if v < 0:
             raise NegativeFractionError(
                 f"function fraction w_{idx}={format_rational(v)} is negative")
-    total = sum(values, Fraction(0))
-    if total != 1:
+    E, W = over_common_denominator(values)
+    if sum(W) != E:
         raise AssignmentSumError(
-            f"function fractions sum to {format_rational(total)}, expected 1")
+            f"function fractions sum to {format_rational(Fraction(sum(W), E))}, "
+            "expected 1")
     return FunctionAssignment(w=tuple(values))
 
 

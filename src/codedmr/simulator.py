@@ -267,10 +267,13 @@ def _first_wrong(component: MessageComponent, diff: int,
     return component.functions.start + function, component.files.start + file
 
 
-def _misfit(component: MessageComponent, N: int, Q: int, T: int) -> str | None:
-    """Why the component lies outside an instance of N files, Q functions
-    and T-bit IVs, or None if it fits."""
+def _misfit(component: MessageComponent, K: int, N: int, Q: int,
+            T: int) -> str | None:
+    """Why the component lies outside an instance of K nodes, N files, Q
+    functions and T-bit IVs, or None if it fits."""
     files, functions = component.files, component.functions
+    if not 1 <= component.recipient <= K:
+        return f"recipient {component.recipient} outside 1..{K}"
     if not (1 <= files.start and files.stop <= N + 1):
         return f"files {files.start}..{files.stop - 1} outside 1..{N}"
     if not (1 <= functions.start and functions.stop <= Q + 1):
@@ -280,6 +283,15 @@ def _misfit(component: MessageComponent, N: int, Q: int, T: int) -> str | None:
         return (f"component of {component.bit_length} bits, not {len(functions)}"
                 f" functions x {len(files)} files x {T} bits = {shape}")
     return None
+
+
+def _refused(index: int, msg: ShuffleMessage,
+             components: Sequence[MessageComponent], reason: str) -> list:
+    """Message ``index`` failed: one failure per component at its first
+    (q, n), or, with no component, one at its sender with q = n = 0."""
+    return [(index, j, (c.recipient, c.functions.start, c.files.start, reason))
+            for j, c in enumerate(components)
+            ] or [(index, 0, (msg.sender, 0, 0, reason))]
 
 
 def run_reduce(
@@ -293,10 +305,13 @@ def run_reduce(
 
     Ground truth comes from the streams, squeezed here as in
     ``build_shuffle``, never from the payload. First, before any stream is
-    squeezed, a component whose files are not within 1..N, whose functions
-    are not within 1..Q or whose bit_length is not len(functions) *
-    len(files) * T fails by name at its first (q, n), and its message is
-    not decoded. A message must then have the shape its live components
+    squeezed, a component whose recipient is not within 1..K, whose files
+    are not within 1..N, whose functions are not within 1..Q or whose
+    bit_length is not len(functions) * len(files) * T fails by name at its
+    first (q, n), and its message is not decoded; so does every component
+    of a message whose sender is not within 1..K (or the message once, at
+    its sender with q = n = 0, if it has none), and its bits count for no
+    sender. A message must then have the shape its live components
     fix: bit_length that of the longest one
     (0 with none) and a payload of (bit_length + 7) // 8 bytes; otherwise
     every live component, or every component if none is live, fails at its
@@ -323,8 +338,12 @@ def run_reduce(
     # (message index, component index, failure)
     found: list[tuple[int, int, tuple[int, int, int, str]]] = []
     for index, msg in enumerate(messages):
+        if not 1 <= msg.sender <= K:
+            found += _refused(index, msg, msg.components,
+                              f"sender {msg.sender} outside 1..{K}")
+            continue
         for j, c in enumerate(msg.components):
-            reason = _misfit(c, N, Q, T)
+            reason = _misfit(c, K, N, Q, T)
             if reason is not None:
                 found.append((index, j, (c.recipient, c.functions.start,
                                          c.files.start, reason)))
@@ -339,10 +358,7 @@ def run_reduce(
         if (msg.bit_length, len(msg.payload)) != (bits, nbytes):
             reason = (f"message of {msg.bit_length} bits in {len(msg.payload)}"
                       f" bytes, not {bits} bits in {nbytes} bytes")
-            found += [(index, j, (c.recipient, c.functions.start,
-                                  c.files.start, reason))
-                      for j, c in enumerate(live or msg.components)
-                      ] or [(index, 0, (msg.sender, 0, 0, reason))]
+            found += _refused(index, msg, live or msg.components, reason)
             continue
         residual = int.from_bytes(msg.payload, "big") ^ truth
         for j, component in enumerate(live):
@@ -383,7 +399,8 @@ def run_reduce(
 
     per_sender_bits = {k: 0 for k in range(1, K + 1)}
     for msg in messages:
-        per_sender_bits[msg.sender] += msg.bit_length
+        if msg.sender in per_sender_bits:
+            per_sender_bits[msg.sender] += msg.bit_length
     total_bits = sum(per_sender_bits.values())
     failed = {node for node, _, _, _ in failures}
     return SimulationReport(

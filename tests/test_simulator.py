@@ -692,14 +692,15 @@ class TestRunReduce:
         ({"functions": range(9, 11)}, (9, 9), "functions 9..10 outside 1..9"),
         ({"bit_length": 195}, (1, 9),
          "component of 195 bits, not 2 functions x 8 files x 13 bits = 208"),
-    ], ids=["files", "functions", "bit-length"])
+        ({"recipient": 4}, (1, 9), "recipient 4 outside 1..3"),
+    ], ids=["files", "functions", "bit-length", "recipient"])
     def test_component_outside_the_instance_is_refused_before_any_truth(
             self, monkeypatch, change, first, reason):
         inst, stores, msgs = three_node_shuffle()
         component = msgs[0].components[0]
         assert (component.functions, component.files) == (range(1, 3), range(9, 17))
         msgs[0] = replace(msgs[0], components=(replace(component, **change),))
-        failure = (component.recipient, *first, reason)
+        failure = (msgs[0].components[0].recipient, *first, reason)
         with pytest.raises(DecodeFailureError) as err:
             run_reduce(inst, stores, msgs)
         assert (err.value.node, err.value.q, err.value.n, err.value.reason) == failure
@@ -712,6 +713,26 @@ class TestRunReduce:
         # no block of the refused message is cut, every other one is
         assert msgs[0].components[0] not in blocks
         assert len(blocks) == sum(len(m.components) for m in msgs[1:])
+
+    def test_sender_outside_the_nodes_fails_by_name(self):
+        inst, stores, msgs = three_node_shuffle()
+        bits = run_reduce(inst, stores, msgs).per_sender_bits
+        sender, lost = msgs[0].sender, msgs[0].bit_length
+        msgs[0] = replace(msgs[0], sender=0)
+        failures = [(c.recipient, *next(c.pairs()), "sender 0 outside 1..3")
+                    for c in msgs[0].components]
+        with pytest.raises(DecodeFailureError) as err:
+            run_reduce(inst, stores, msgs)
+        assert (err.value.node, err.value.q, err.value.n,
+                err.value.reason) == failures[0]
+        report = run_reduce(inst, stores, msgs, strict=False)
+        assert report.failures[:len(failures)] == failures
+        assert all(reason == "IV never delivered"
+                   for *_, reason in report.failures[len(failures):])
+        assert report.per_sender_bits == {**bits, sender: bits[sender] - lost}
+        no_components = replace(msgs[0], components=(), bit_length=0, payload=b"")
+        report = run_reduce(inst, stores, [*msgs[1:], no_components], strict=False)
+        assert report.failures[0] == (0, 0, 0, "sender 0 outside 1..3")
 
     def test_dropped_unicast_is_never_delivered(self):
         p = validate_profile(["1/4", "1/3", "1/2"])
