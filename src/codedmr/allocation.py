@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
+from .assignment import minimal_function_count
 from .model import (
     ZERO,
     ComputationProfile,
@@ -162,7 +163,7 @@ def minimal_file_count(plan: AllocationPlan) -> int:
     """
     dens = [p.denominator for p in plan.P]
     total = math.prod(dens)
-    return math.lcm(*((lk * d / total).denominator for lk, d in zip(plan.l, dens)))
+    return math.lcm(*[(lk * d / total).denominator for lk, d in zip(plan.l, dens)])
 
 
 def file_count_estimate(plan: AllocationPlan) -> Fraction:
@@ -257,7 +258,7 @@ def materialize(
             f"N={N} is not a positive multiple of the minimal file count {min_n}",
             minimal_files=min_n,
         )
-    min_q = math.lcm(*(w.denominator for w in assignment.w if w != 0))
+    min_q = minimal_function_count(assignment)
     if Q <= 0 or Q % min_q != 0:
         raise IndivisibleInstanceError(
             f"Q={Q} is not a positive multiple of the minimal function count {min_q}",

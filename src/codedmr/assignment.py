@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .allocation import AllocationPlan
 from .model import (
     ZERO,
     ComputationProfile,
@@ -14,6 +14,10 @@ from .model import (
     over_common_denominator,
     validate_assignment,
 )
+
+if TYPE_CHECKING:
+    from .allocation import AllocationPlan
+
 
 def even_assignment(K: int) -> FunctionAssignment:
     """Every node reduces the same share 1/K of the output functions."""
@@ -53,7 +57,7 @@ def shuffle_aware(profile: ComputationProfile, plan: AllocationPlan) -> Function
 
 def minimal_function_count(assignment: FunctionAssignment) -> int:
     """Least Q giving every node an integer number of functions."""
-    return math.lcm(*(v.denominator for v in assignment.w if v != 0))
+    return math.lcm(*[v.denominator for v in assignment.w if v != 0])
 
 
 def assignment_for(

@@ -249,6 +249,8 @@ def cmd_sweep(args) -> str:
         raise ValueError("sweep needs exactly one of --preset or --coeffs")
     coeffs = (presets.SWEEP_COEFFS[args.preset] if args.preset
               else fractions_from_csv(args.coeffs))
+    if min(coeffs) <= 0:
+        raise ValueError("--coeffs must be positive")
     precision = args.precision
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, restval="")

@@ -15,17 +15,18 @@ lowest live file, squeeze each stream up to file N the first time a block
 reads it and drop the streams of lower chunks. Both XOR every message's
 blocks into its truth, and the Shuffle payload is that truth. Reduce
 squeezes its own streams, so ground truth never comes from the payload; it
-checks each message's shape, then decodes with one residual, the payload
-XOR the truth: a recipient recovers its block exactly when the residual's
-leading bits, as many as its block has, are zero. A node's Map store is the
-set of file ranges it holds, and delivery is tracked as file ranges per
-recipient, which with the node's own files must cover 1..N.
+refuses malformed messages by one rule first, then decodes with one
+residual, the payload XOR the truth: a recipient recovers its block exactly
+when the residual's leading bits, as many as its block has, are zero. A
+node's Map store is the set of file ranges it holds, and delivery is
+tracked as file ranges per recipient, which with its Map store must cover
+1..N.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -134,11 +135,11 @@ def _component_block(component: MessageComponent, seed: int, T: int) -> bytes:
 
 
 def _message_truths(instance: MaterializedInstance,
-                    messages: Sequence[ShuffleMessage]):
-    """Yield (index, truth) for every message, in order of the chunk of its
-    lowest live file: ``truth`` is the int XOR of its live components' true
-    blocks, each zero-extended at the tail to (bits + 7) // 8 bytes, where
-    bits is the longest live component's bit length (0 with none live).
+                    parts: Sequence[Sequence[MessageComponent]]):
+    """Yield (index, truth) for every message's components, in order of the
+    chunk of its lowest live file: ``truth`` is the int XOR of the live
+    components' true blocks, each zero-extended at the tail to the longest
+    one's (bit_length + 7) // 8 bytes (0 bytes with none live).
 
     A (function, chunk) stream is squeezed up to file N the first time a
     block reads it, and again only for a block that reads past it, which
@@ -156,15 +157,15 @@ def _message_truths(instance: MaterializedInstance,
                 seed, q, chunk, max(bits, min(CHUNK, N - chunk * CHUNK) * T))
         return data
 
-    lows = [(min((c.files.start for c in _live(msg.components)), default=1)
-             - 1) // CHUNK for msg in messages]
+    lows = [(min((c.files.start for c in _live(components)), default=1)
+             - 1) // CHUNK for components in parts]
     floor = 0
-    for index in sorted(range(len(messages)), key=lows.__getitem__):
+    for index in sorted(range(len(parts)), key=lows.__getitem__):
         if lows[index] > floor:
             floor = lows[index]
             for key in [key for key in streams if key[1] < floor]:
                 del streams[key]
-        live = _live(messages[index].components)
+        live = _live(parts[index])
         nbytes = (max((c.bit_length for c in live), default=0) + 7) // 8
         truth = 0
         for c in live:  # the block is freed before the XOR
@@ -175,7 +176,7 @@ def _message_truths(instance: MaterializedInstance,
 
 def _live(components: Iterable[MessageComponent]) -> tuple[MessageComponent, ...]:
     """The components that carry bits."""
-    return tuple(c for c in components if c.bit_length)
+    return tuple([c for c in components if c.bit_length])
 
 
 def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[ShuffleMessage]:
@@ -185,8 +186,8 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
     IVs from each batch owner. Surplus nodes are served by coded multicasts:
     for each subset of surplus nodes and each outside sender, the sender XORs
     the zero-padded per-recipient blocks of its own batch's sub-batches.
-    Messages are listed in that order; their payloads are filled in from
-    ``_message_truths`` afterwards.
+    Messages are listed in that order, each built once its payload, the
+    truth ``_message_truths`` yields for its components, is known.
     """
     K = instance.K
     T = instance.T
@@ -197,35 +198,32 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
         return MessageComponent(recipient=i, functions=functions, files=files,
                                 bit_length=len(functions) * len(files) * T)
 
-    def message(sender: int, recipients: tuple[int, ...], kind: str,
-                components: tuple[MessageComponent, ...]) -> ShuffleMessage:
-        return ShuffleMessage(
-            sender=sender, recipients=recipients, kind=kind, payload=b"",
-            bit_length=max(c.bit_length for c in components),
-            components=components)
-
-    # unicasts to LowCL nodes, then coded multicasts to HighCL subsets; the
-    # payloads are filled in afterwards
-    messages = [message(k, (i,), UNICAST, (component(i, batch_of[k]),))
-                for i in range(1, plan.r + 1) for k in range(1, K + 1) if k != i]
+    # (sender, recipients, kind, components) of the unicasts to LowCL nodes,
+    # then of the coded multicasts to HighCL subsets
+    heads = [(k, (i,), UNICAST, (component(i, batch_of[k]),))
+             for i in range(1, plan.r + 1) for k in range(1, K + 1) if k != i]
     for psi in _nonempty_subsets(range(plan.r + 1, K + 1)):
-        messages += [
-            message(k, psi, CODED, tuple(
+        heads += [
+            (k, psi, CODED, tuple([
                 component(i, instance.subbatch_files[
-                    (k, tuple(j for j in psi if j != i))])
-                for i in psi))
+                    (k, tuple([j for j in psi if j != i]))])
+                for i in psi]))
             for k in range(1, K + 1) if k not in psi]
-    messages = [msg for msg in messages if msg.bit_length]
-
-    for index, truth in _message_truths(instance, messages):
-        messages[index] = replace(messages[index], payload=truth.to_bytes(
-            (messages[index].bit_length + 7) // 8, "big"))
+    heads = [head for head in heads if _live(head[3])]
+    messages: list = [None] * len(heads)
+    for index, truth in _message_truths(instance, [head[3] for head in heads]):
+        sender, recipients, kind, components = heads[index]
+        bits = max(c.bit_length for c in components)
+        messages[index] = ShuffleMessage(
+            sender=sender, recipients=recipients, kind=kind,
+            payload=truth.to_bytes((bits + 7) // 8, "big"), bit_length=bits,
+            components=components)
     return messages
 
 
 def _nonempty_subsets(items: Sequence[int]):
     for mask in range(1, 1 << len(items)):
-        yield tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+        yield tuple([items[i] for i in range(len(items)) if mask >> i & 1])
 
 
 @dataclass
@@ -285,13 +283,33 @@ def _misfit(component: MessageComponent, K: int, N: int, Q: int,
     return None
 
 
-def _refused(index: int, msg: ShuffleMessage,
-             components: Sequence[MessageComponent], reason: str) -> list:
-    """Message ``index`` failed: one failure per component at its first
-    (q, n), or, with no component, one at its sender with q = n = 0."""
-    return [(index, j, (c.recipient, c.functions.start, c.files.start, reason))
-            for j, c in enumerate(components)
-            ] or [(index, 0, (msg.sender, 0, 0, reason))]
+def _refusal(msg: ShuffleMessage, K: int, N: int, Q: int,
+             T: int) -> list[tuple[int, int, int, str]]:
+    """Why Reduce may not decode the message, as failures at each named
+    component's recipient and first (q, n), or [] if it may. A sender
+    outside 1..K fails every component, a component outside the instance
+    fails alone, and a bit_length or payload size other than the live
+    components fix (the longest one's, in whole bytes) fails every live
+    component, or every one if none is live; with no component, the message
+    fails once at its sender with q = n = 0."""
+    components = msg.components
+    if not 1 <= msg.sender <= K:
+        why = f"sender {msg.sender} outside 1..{K}"
+    else:
+        found = [(c.recipient, c.functions.start, c.files.start, why)
+                 for c in components if (why := _misfit(c, K, N, Q, T))]
+        if found:
+            return found
+        live = _live(components)
+        bits = max((c.bit_length for c in live), default=0)
+        nbytes = (bits + 7) // 8
+        if (msg.bit_length, len(msg.payload)) == (bits, nbytes):
+            return []
+        why = (f"message of {msg.bit_length} bits in {len(msg.payload)}"
+               f" bytes, not {bits} bits in {nbytes} bytes")
+        components = live or components
+    return [(c.recipient, c.functions.start, c.files.start, why)
+            for c in components] or [(msg.sender, 0, 0, why)]
 
 
 def run_reduce(
@@ -299,33 +317,23 @@ def run_reduce(
     stores: Mapping[int, set[range]],
     messages: Sequence[ShuffleMessage],
     strict: bool = True,
-    log_messages: bool = False,
 ) -> SimulationReport:
     """Decode every message at its recipients and verify full recovery.
 
-    Ground truth comes from the streams, squeezed here as in
-    ``build_shuffle``, never from the payload. First, before any stream is
-    squeezed, a component whose recipient is not within 1..K, whose files
-    are not within 1..N, whose functions are not within 1..Q or whose
-    bit_length is not len(functions) * len(files) * T fails by name at its
-    first (q, n), and its message is not decoded; so does every component
-    of a message whose sender is not within 1..K (or the message once, at
-    its sender with q = n = 0, if it has none), and its bits count for no
-    sender. A message must then have the shape its live components
-    fix: bit_length that of the longest one
-    (0 with none) and a payload of (bit_length + 7) // 8 bytes; otherwise
-    every live component, or every component if none is live, fails at its
-    first (q, n), and a message with no component fails once at its sender
-    with q = n = 0. Each message's residual is the
-    payload XOR its truth, the XOR of its components' zero-padded true
-    blocks. A recipient then checks that its Map store holds the other
-    components' file ranges; it decodes correctly exactly when the
-    residual's leading bits, as many as its own component has, are zero,
-    since cancelling the other blocks leaves it its own block XOR those
-    bits. The first wrong (q, n) is the first nonzero T-bit slot there.
-    Failures are reported in message order, then component order; strict
-    mode raises the first. Afterwards each node's delivered file ranges,
-    with the files it maps, must cover 1..N.
+    Before any stream is squeezed, a message that ``_refusal`` fails, by
+    the one rule for senders, components and message shape, is not
+    decoded; its bits count for its sender all the same if that is within
+    1..K. Ground truth comes from the streams, squeezed here as in
+    ``build_shuffle``, never from the payload. Each decoded message's
+    residual is the payload XOR its truth, the XOR of its components'
+    zero-padded true blocks. A recipient then checks that its Map store
+    holds the other components' file ranges; it decodes correctly exactly
+    when the residual's leading bits, as many as its own component has, are
+    zero, since cancelling the other blocks leaves it its own block XOR
+    those bits. The first wrong (q, n) is the first nonzero T-bit slot
+    there. Failures are reported in message order, then component order;
+    strict mode raises the first. Afterwards each node's delivered file
+    ranges, with the file ranges of its Map store, must cover 1..N.
 
     Range membership is exact: in a coded message from sender s to psi,
     recipient i's component is the whole sub-batch (s, psi - {i}), and
@@ -335,59 +343,46 @@ def run_reduce(
     N, Q, T = instance.N, instance.Q, instance.T
     K = instance.K
     delivered: dict[int, list[range]] = {k: [] for k in range(1, K + 1)}
-    # (message index, component index, failure)
-    found: list[tuple[int, int, tuple[int, int, int, str]]] = []
-    for index, msg in enumerate(messages):
-        if not 1 <= msg.sender <= K:
-            found += _refused(index, msg, msg.components,
-                              f"sender {msg.sender} outside 1..{K}")
-            continue
-        for j, c in enumerate(msg.components):
-            reason = _misfit(c, K, N, Q, T)
-            if reason is not None:
-                found.append((index, j, (c.recipient, c.functions.start,
-                                         c.files.start, reason)))
-    refused = {index for index, _, _ in found}
-    kept = [index for index in range(len(messages)) if index not in refused]
-    for at, truth in _message_truths(instance, [messages[i] for i in kept]):
+    per_sender_bits = {k: 0 for k in range(1, K + 1)}
+    found = []  # each message's failures
+    for msg in messages:
+        if msg.sender in per_sender_bits:
+            per_sender_bits[msg.sender] += msg.bit_length
+        found.append(_refusal(msg, K, N, Q, T))
+    kept = [index for index, refusal in enumerate(found) if not refusal]
+    for at, truth in _message_truths(
+            instance, [messages[index].components for index in kept]):
         index = kept[at]
         msg = messages[index]
         live = _live(msg.components)
-        bits = max((c.bit_length for c in live), default=0)
-        nbytes = (bits + 7) // 8
-        if (msg.bit_length, len(msg.payload)) != (bits, nbytes):
-            reason = (f"message of {msg.bit_length} bits in {len(msg.payload)}"
-                      f" bytes, not {bits} bits in {nbytes} bytes")
-            found += _refused(index, msg, live or msg.components, reason)
-            continue
         residual = int.from_bytes(msg.payload, "big") ^ truth
         for j, component in enumerate(live):
             i = component.recipient
             absent = next((other for o, other in enumerate(live)
                            if o != j and other.files not in stores[i]), None)
             if absent is not None:
-                found.append((index, j, (
+                found[index].append((
                     i, absent.functions.start, absent.files.start,
-                    "side-information file absent from Map store")))
+                    "side-information file absent from Map store"))
                 continue
-            wrong = _first_wrong(
-                component, residual >> 8 * nbytes - component.bit_length, T)
+            wrong = _first_wrong(component, residual >> 8 * len(msg.payload)
+                                 - component.bit_length, T)
             if wrong is not None:
-                found.append((index, j, (
-                    i, *wrong, "recovered IV differs from ground truth")))
+                found[index].append((
+                    i, *wrong, "recovered IV differs from ground truth"))
                 continue
             wanted = instance.functions_of[i]
             if (component.functions.start <= wanted.start
                     and wanted.stop <= component.functions.stop):
                 delivered[i].append(component.files)
-    failures = [failure for _, _, failure in sorted(found)]
+    failures = list(chain.from_iterable(found))
 
     for i in range(1, K + 1):
         functions = instance.functions_of[i]
         if not functions:
             continue
         covered = 1
-        for files in sorted(chain(instance.files_of[i], delivered[i]),
+        for files in sorted(chain(stores[i], delivered[i]),
                             key=lambda r: r.start):
             if files.start > covered:
                 break
@@ -397,10 +392,6 @@ def run_reduce(
     if strict and failures:
         raise DecodeFailureError(*failures[0])
 
-    per_sender_bits = {k: 0 for k in range(1, K + 1)}
-    for msg in messages:
-        if msg.sender in per_sender_bits:
-            per_sender_bits[msg.sender] += msg.bit_length
     total_bits = sum(per_sender_bits.values())
     failed = {node for node, _, _, _ in failures}
     return SimulationReport(
@@ -410,9 +401,6 @@ def run_reduce(
         decode_success={k: k not in failed for k in range(1, K + 1)},
         message_count=len(messages),
         failures=failures,
-        message_log=[{"sender": msg.sender, "recipients": list(msg.recipients),
-                      "kind": msg.kind, "bits": msg.bit_length}
-                     for msg in messages] if log_messages else None,
     )
 
 
@@ -423,13 +411,13 @@ def simulate(
     Q: int | None = None,
     T: int = 32,
     seed: int = 0,
-    strict: bool = True,
     log_messages: bool = False,
 ):
     """Materialize (at minimal N, Q unless given), run all three phases.
 
-    Returns (instance, plan, report). Raises InternalConsistencyError if the
-    measured load differs from the analytic achievable load.
+    Returns (instance, plan, report), the report with a message_log if
+    ``log_messages``. Raises InternalConsistencyError if the measured load
+    differs from the analytic achievable load.
     """
     plan = build_plan(profile)
     if N is None:
@@ -439,8 +427,11 @@ def simulate(
     instance = materialize(plan, assignment, N=N, Q=Q, T=T, seed=seed)
     stores = run_map(instance)
     messages = build_shuffle(instance, plan)
-    report = run_reduce(instance, stores, messages,
-                        strict=strict, log_messages=log_messages)
+    report = run_reduce(instance, stores, messages)
+    if log_messages:
+        report.message_log = [
+            {"sender": msg.sender, "recipients": list(msg.recipients),
+             "kind": msg.kind, "bits": msg.bit_length} for msg in messages]
     analytic = achievable_load(profile, plan, assignment).total
     if report.measured_load != analytic:
         raise InternalConsistencyError(

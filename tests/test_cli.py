@@ -414,6 +414,13 @@ class TestSweep:
         assert cli.main(["sweep", "--preset", "fig2-k3",
                          "--coeffs", "1,1"]) == 2
 
+    @pytest.mark.parametrize("coeffs", ["0,0", "1,-1", "-1,2", "1,0"])
+    def test_nonpositive_coefficient_refused_by_name(self, capsys, coeffs):
+        assert cli.main(["sweep", f"--coeffs={coeffs}", "--step", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --coeffs must be positive\n"
+
     def test_oversized_grid_refused_in_bounded_time(self, capsys):
         start = time.perf_counter()
         code = cli.main(["sweep", "--preset", "fig2-k12", "--step", "1e-6"])

@@ -187,7 +187,7 @@ def reference_reduce(instance, stores, messages):
         if not functions:
             continue
         covered = 1
-        for files in sorted(chain(instance.files_of[i], delivered[i]),
+        for files in sorted(chain(stores[i], delivered[i]),
                             key=lambda r: r.start):
             if files.start > covered:
                 break
@@ -713,6 +713,16 @@ class TestRunReduce:
         # no block of the refused message is cut, every other one is
         assert msgs[0].components[0] not in blocks
         assert len(blocks) == sum(len(m.components) for m in msgs[1:])
+        # a message refused for its shape squeezes no stream either
+        bad = replace(msgs[0], components=(component,), payload=b"\0")
+        streams = []
+        squeeze = simulator._stream
+        monkeypatch.setattr(simulator, "_stream", lambda *key: streams.append(key)
+                            or squeeze(*key))
+        report = run_reduce(inst, stores, [bad], strict=False)
+        assert report.failures[0] == (
+            1, 1, 9, "message of 208 bits in 1 bytes, not 208 bits in 26 bytes")
+        assert streams == []
 
     def test_sender_outside_the_nodes_fails_by_name(self):
         inst, stores, msgs = three_node_shuffle()
@@ -733,6 +743,26 @@ class TestRunReduce:
         no_components = replace(msgs[0], components=(), bit_length=0, payload=b"")
         report = run_reduce(inst, stores, [*msgs[1:], no_components], strict=False)
         assert report.failures[0] == (0, 0, 0, "sender 0 outside 1..3")
+
+    @pytest.mark.parametrize("m, w, N, Q, lose, failure", [
+        (["1/2", "1/2"], ["1/2", "1/2"], 2, 2, lambda inst, store: set(),
+         (1, 1, 1, "IV never delivered")),
+        (["1/5", "1/3", "1/3", "1/2"], ["1/8", "1/4", "1/6", "11/24"], 39930, 24,
+         lambda inst, store: store - {inst.batch_of[4]},
+         (4, 14, 29283, "IV never delivered")),
+    ], ids=["two-node-empty-store", "worked-own-batch"])
+    def test_files_missing_from_the_map_store_are_never_delivered(
+            self, m, w, N, Q, lose, failure):
+        # coverage reads the Map store, not the files the node was allocated
+        plan = build_plan(validate_profile(m))
+        inst = materialize(plan, validate_assignment(w, len(m)),
+                           N=N, Q=Q, T=8, seed=1)
+        stores = run_map(inst)
+        node = failure[0]
+        stores[node] = lose(inst, stores[node])
+        report = run_reduce(inst, stores, build_shuffle(inst, plan), strict=False)
+        assert report.failures == [failure]
+        assert [k for k, ok in report.decode_success.items() if not ok] == [node]
 
     def test_dropped_unicast_is_never_delivered(self):
         p = validate_profile(["1/4", "1/3", "1/2"])
