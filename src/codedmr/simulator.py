@@ -7,20 +7,23 @@ divmod(n - 1, CHUNK), the T-bit IV of function q on file n is bits [slot·T,
 (slot + 1)·T) of that stream, so it does not depend on Q. A node's
 functions and a sub-batch's files are contiguous ranges, so a message
 component's block is function-major (for each q, the IVs of its files in
-order): one bit slice per (function, chunk) pair. Multicast payloads XOR
-per-recipient blocks after zero-padding the shorter blocks at the tail,
+order): one piece per (function, chunk) pair, copied by whole bytes where
+it starts on a byte of its stream with no bits carried, else one bit slice
+shifted into place; at T % 8 == 0 every piece is a copy. Multicast payloads
+XOR per-recipient blocks after zero-padding the shorter blocks at the tail,
 exactly as the load accounting assumes. Shuffle and Reduce each squeeze a
 stream at most once: they take the messages in order of the chunk of their
 lowest live file, squeeze each stream up to file N the first time a block
-reads it and drop the streams of lower chunks. Both XOR every message's
-blocks into its truth, and the Shuffle payload is that truth. Reduce
-squeezes its own streams, so ground truth never comes from the payload; it
-refuses malformed messages by one rule first, then decodes with one
-residual, the payload XOR the truth: a recipient recovers its block exactly
-when the residual's leading bits, as many as its block has, are zero. A
-node's Map store is the set of file ranges it holds, and delivery is
-tracked as file ranges per recipient, which with its Map store must cover
-1..N.
+reads it and drop the streams of lower chunks. Both take every message's
+truth as bytes, its one live block as it stands or the XOR of several, and
+the Shuffle payload is that truth. Reduce squeezes its own streams, so
+ground truth never comes from the payload; it refuses malformed messages
+by one rule first, then compares each payload with its truth byte for
+byte. Only a payload that differs becomes a residual, the payload XOR the
+truth: a recipient recovers its block exactly when the residual's leading
+bits, as many as its block has, are zero. A node's Map store is the set of
+file ranges it holds, and delivery is tracked as file ranges per
+recipient, which with its Map store must cover 1..N.
 """
 
 from __future__ import annotations
@@ -105,10 +108,13 @@ class ShuffleMessage:
 
 
 def _block(component: MessageComponent, T: int, stream) -> bytearray:
-    """The component's block, one ``_bits`` slice per (function, chunk) pair
-    cut from ``stream(q, chunk, bits)``, at least that stream's first bits.
-    Each slice joins the carry of under 8 bits the last one left, whole
-    bytes go into the preallocated block and the last carry is padded."""
+    """The component's block, one piece per (function, chunk) pair cut from
+    ``stream(q, chunk, bits)``, at least that stream's first bits. A piece
+    that starts on a byte of its stream with no carry pending is copied by
+    whole bytes, and its last width % 8 bits become the carry; any other is
+    one ``_bits`` slice joined to the carry of under 8 bits the last piece
+    left. Whole bytes go into the preallocated block and the last carry is
+    padded. At T % 8 == 0 every piece is a copy."""
     lo, hi = component.files.start - 1, component.files.stop - 1
     block = bytearray((len(component.functions) * (hi - lo) * T + 7) // 8)
     at = carry = spare = 0  # bytes written; the carry and its bit count
@@ -117,12 +123,18 @@ def _block(component: MessageComponent, T: int, stream) -> bytearray:
         while offset < hi:
             chunk, slot = divmod(offset, CHUNK)
             start, width = slot * T, min(hi - offset, CHUNK - slot) * T
-            acc = carry << width | _bits(stream(q, chunk, start + width),
-                                         start, width)
-            full, spare = divmod(spare + width, 8)
-            block[at:at + full] = (acc >> spare).to_bytes(full, "big")
+            data = stream(q, chunk, start + width)
+            if spare or start & 7:
+                acc = carry << width | _bits(data, start, width)
+                full, spare = divmod(spare + width, 8)
+                block[at:at + full] = (acc >> spare).to_bytes(full, "big")
+                carry = acc & ((1 << spare) - 1)
+            else:
+                first, (full, spare) = start >> 3, divmod(width, 8)
+                block[at:at + full] = memoryview(data)[first:first + full]
+                if spare:
+                    carry = data[first + full] >> 8 - spare
             at += full
-            carry = acc & ((1 << spare) - 1)
             offset = (chunk + 1) * CHUNK
     if spare:
         block[at] = carry << 8 - spare
@@ -135,11 +147,13 @@ def _component_block(component: MessageComponent, seed: int, T: int) -> bytes:
 
 
 def _message_truths(instance: MaterializedInstance,
-                    parts: Sequence[Sequence[MessageComponent]]):
-    """Yield (index, truth) for every message's components, in order of the
-    chunk of its lowest live file: ``truth`` is the int XOR of the live
-    components' true blocks, each zero-extended at the tail to the longest
-    one's (bit_length + 7) // 8 bytes (0 bytes with none live).
+                    lives: Sequence[tuple[MessageComponent, ...]]):
+    """Yield (index, truth) for every message's live components, in order
+    of the chunk of its lowest live file: ``truth`` is the XOR of their true
+    blocks, each zero-extended at the tail to the longest one's
+    (bit_length + 7) // 8 bytes, as bytes of that length (b"" with none
+    live). One live component's truth is its block as it stands; two or
+    more are XORed as ints and converted once.
 
     A (function, chunk) stream is squeezed up to file N the first time a
     block reads it, and again only for a block that reads past it, which
@@ -157,21 +171,24 @@ def _message_truths(instance: MaterializedInstance,
                 seed, q, chunk, max(bits, min(CHUNK, N - chunk * CHUNK) * T))
         return data
 
-    lows = [(min((c.files.start for c in _live(components)), default=1)
-             - 1) // CHUNK for components in parts]
+    lows = [(min((c.files.start for c in live), default=1) - 1) // CHUNK
+            for live in lives]
     floor = 0
-    for index in sorted(range(len(parts)), key=lows.__getitem__):
+    for index in sorted(range(len(lives)), key=lows.__getitem__):
         if lows[index] > floor:
             floor = lows[index]
             for key in [key for key in streams if key[1] < floor]:
                 del streams[key]
-        live = _live(parts[index])
+        live = lives[index]
+        if len(live) == 1:
+            yield index, bytes(_block(live[0], T, stream))
+            continue
         nbytes = (max((c.bit_length for c in live), default=0) + 7) // 8
         truth = 0
         for c in live:  # the block is freed before the XOR
             pad = 8 * (nbytes - (c.bit_length + 7) // 8)
             truth ^= int.from_bytes(_block(c, T, stream), "big") << pad
-        yield index, truth
+        yield index, truth.to_bytes(nbytes, "big")
 
 
 def _live(components: Iterable[MessageComponent]) -> tuple[MessageComponent, ...]:
@@ -187,7 +204,8 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
     for each subset of surplus nodes and each outside sender, the sender XORs
     the zero-padded per-recipient blocks of its own batch's sub-batches.
     Messages are listed in that order, each built once its payload, the
-    truth ``_message_truths`` yields for its components, is known.
+    truth bytes ``_message_truths`` yields for its live components, is
+    known.
     """
     K = instance.K
     T = instance.T
@@ -209,15 +227,13 @@ def build_shuffle(instance: MaterializedInstance, plan: AllocationPlan) -> list[
                     (k, tuple([j for j in psi if j != i]))])
                 for i in psi]))
             for k in range(1, K + 1) if k not in psi]
-    heads = [head for head in heads if _live(head[3])]
+    heads = [(*head, live) for head in heads if (live := _live(head[3]))]
     messages: list = [None] * len(heads)
-    for index, truth in _message_truths(instance, [head[3] for head in heads]):
-        sender, recipients, kind, components = heads[index]
-        bits = max(c.bit_length for c in components)
+    for index, truth in _message_truths(instance, [head[4] for head in heads]):
+        sender, recipients, kind, components, live = heads[index]
         messages[index] = ShuffleMessage(
-            sender=sender, recipients=recipients, kind=kind,
-            payload=truth.to_bytes((bits + 7) // 8, "big"), bit_length=bits,
-            components=components)
+            sender=sender, recipients=recipients, kind=kind, payload=truth,
+            bit_length=max(c.bit_length for c in live), components=components)
     return messages
 
 
@@ -283,15 +299,15 @@ def _misfit(component: MessageComponent, K: int, N: int, Q: int,
     return None
 
 
-def _refusal(msg: ShuffleMessage, K: int, N: int, Q: int,
-             T: int) -> list[tuple[int, int, int, str]]:
-    """Why Reduce may not decode the message, as failures at each named
-    component's recipient and first (q, n), or [] if it may. A sender
-    outside 1..K fails every component, a component outside the instance
-    fails alone, and a bit_length or payload size other than the live
-    components fix (the longest one's, in whole bytes) fails every live
-    component, or every one if none is live; with no component, the message
-    fails once at its sender with q = n = 0."""
+def _refusal(msg: ShuffleMessage, live: tuple[MessageComponent, ...], K: int,
+             N: int, Q: int, T: int) -> list[tuple[int, int, int, str]]:
+    """Why Reduce may not decode the message, whose live components are
+    ``live``, as failures at each named component's recipient and first
+    (q, n), or [] if it may. A sender outside 1..K fails every component, a
+    component outside the instance fails alone, and a bit_length or payload
+    size other than the live components fix (the longest one's, in whole
+    bytes) fails every live component, or every one if none is live; with
+    no component, the message fails once at its sender with q = n = 0."""
     components = msg.components
     if not 1 <= msg.sender <= K:
         why = f"sender {msg.sender} outside 1..{K}"
@@ -300,7 +316,6 @@ def _refusal(msg: ShuffleMessage, K: int, N: int, Q: int,
                  for c in components if (why := _misfit(c, K, N, Q, T))]
         if found:
             return found
-        live = _live(components)
         bits = max((c.bit_length for c in live), default=0)
         nbytes = (bits + 7) // 8
         if (msg.bit_length, len(msg.payload)) == (bits, nbytes):
@@ -325,8 +340,10 @@ def run_reduce(
     decoded; its bits count for its sender all the same if that is within
     1..K. Ground truth comes from the streams, squeezed here as in
     ``build_shuffle``, never from the payload. Each decoded message's
-    residual is the payload XOR its truth, the XOR of its components'
-    zero-padded true blocks. A recipient then checks that its Map store
+    truth is the bytes of the XOR of its live components' zero-padded true
+    blocks. A payload equal to it byte for byte leaves a zero residual;
+    only one that differs is XORed with it as an int into the residual
+    that names what went wrong. A recipient then checks that its Map store
     holds the other components' file ranges; it decodes correctly exactly
     when the residual's leading bits, as many as its own component has, are
     zero, since cancelling the other blocks leaves it its own block XOR
@@ -344,18 +361,18 @@ def run_reduce(
     K = instance.K
     delivered: dict[int, list[range]] = {k: [] for k in range(1, K + 1)}
     per_sender_bits = {k: 0 for k in range(1, K + 1)}
+    lives = [_live(msg.components) for msg in messages]
     found = []  # each message's failures
-    for msg in messages:
+    for msg, live in zip(messages, lives):
         if msg.sender in per_sender_bits:
             per_sender_bits[msg.sender] += msg.bit_length
-        found.append(_refusal(msg, K, N, Q, T))
+        found.append(_refusal(msg, live, K, N, Q, T))
     kept = [index for index, refusal in enumerate(found) if not refusal]
-    for at, truth in _message_truths(
-            instance, [messages[index].components for index in kept]):
+    for at, truth in _message_truths(instance, [lives[index] for index in kept]):
         index = kept[at]
-        msg = messages[index]
-        live = _live(msg.components)
-        residual = int.from_bytes(msg.payload, "big") ^ truth
+        msg, live = messages[index], lives[index]
+        residual = 0 if msg.payload == truth else (
+            int.from_bytes(msg.payload, "big") ^ int.from_bytes(truth, "big"))
         for j, component in enumerate(live):
             i = component.recipient
             absent = next((other for o, other in enumerate(live)

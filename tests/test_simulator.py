@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedmr import simulator
@@ -134,6 +134,31 @@ def small_simulations(draw):
     else:
         w = assignments[strategy]
     return p, plan, w, draw(st.integers(1, 600)), draw(st.integers(0, 2 ** 64 - 1))
+
+
+@st.composite
+def block_components(draw):
+    """(component, seed, T): 1-3 functions, T in 1..40 or 48, 64, 517, and
+    files that cross 0-2 chunk boundaries. Two crossings span a whole chunk,
+    which the iv_value oracle squeezes slot by slot, so only T <= 64 takes
+    them."""
+    T = draw(st.sampled_from([*range(1, 41), 48, 64, 517]))
+    start = draw(st.integers(1, 5))
+    functions = range(start, start + draw(st.integers(1, 3)))
+    chunk = draw(st.integers(0, 2))
+    crossings = draw(st.integers(0, 2 if T <= 64 else 1))
+    # the first and last file, counted from 0
+    if crossings:
+        first = (chunk + 1) * CHUNK - draw(st.integers(1, 12))
+        last = (chunk + crossings) * CHUNK + draw(st.integers(0, 11))
+    else:
+        first = chunk * CHUNK + draw(st.integers(0, CHUNK - 1))
+        last = min(first + draw(st.integers(0, 11)), (chunk + 1) * CHUNK - 1)
+    files = range(first + 1, last + 2)
+    component = MessageComponent(
+        recipient=1, functions=functions, files=files,
+        bit_length=len(functions) * len(files) * T)
+    return component, draw(st.integers(0, 2 ** 65)), T
 
 
 def reference_reduce(instance, stores, messages):
@@ -293,6 +318,23 @@ class TestIvGeneration:
         assert len(calls) == 11 * 4
         assert sum(calls) == component.bit_length
 
+    @settings(max_examples=60, deadline=None)
+    @given(block_components())
+    # copy and shift pieces alternate within one block: at T=4 or 12, the
+    # first function's two pieces are copies that leave 4 bits carried, so
+    # the second's are shifts, which leave none, so the third's are copies
+    @example((MessageComponent(recipient=1, functions=range(1, 4),
+                               files=range(1023, 1026), bit_length=36), 9, 4))
+    @example((MessageComponent(recipient=1, functions=range(2, 5),
+                               files=range(1023, 1026), bit_length=108), 9, 12))
+    def test_block_copies_whole_bytes_where_the_bits_line_up(self, case):
+        component, seed, T = case
+        expected = pack_ivs(
+            (iv_value(seed, q, n, T) for q, n in component.pairs()), T)
+        assert _component_block(component, seed, T) == expected
+        assert simulator._block(component, T, lambda q, chunk, bits: (
+            simulator._stream(seed, q, chunk, CHUNK * T))) == expected
+
 
 class TestHashing:
     @pytest.mark.parametrize("profile, w, T", [
@@ -341,6 +383,21 @@ class TestHashing:
         assert report.measured_load == achievable_load(THREE, plan, THREE_W).total
         assert {chunk for _, chunk in squeezed} == {0, 1}
         assert {bits for (_, chunk), bits in squeezed.items() if chunk} == {8 * 13}
+
+    def test_byte_aligned_blocks_take_no_bit_slice(self, monkeypatch):
+        # at T % 8 == 0 every piece of every block is a whole-byte copy
+        calls = []
+        real = simulator._bits
+
+        def counted(data, start, width):
+            calls.append(width)
+            return real(data, start, width)
+
+        monkeypatch.setattr(simulator, "_bits", counted)
+        simulate(WORKED, WORKED_W, T=32, seed=2)
+        assert calls == []
+        simulate(WORKED, WORKED_W, T=13, seed=2)
+        assert calls
 
 
 class TestRunMap:
@@ -607,6 +664,25 @@ class TestRunReduce:
         longest = max(msg.components, key=lambda c: c.bit_length)
         assert failures(msg.bit_length - 1)[0] == (
             longest.recipient, *list(longest.pairs())[-1],
+            "recovered IV differs from ground truth")
+
+    def test_padding_bits_of_a_one_component_message_are_not_checked(self):
+        inst, stores, msgs = three_node_shuffle()
+        index, msg = next((j, m) for j, m in enumerate(msgs)
+                          if len(m.components) == 1 and m.bit_length % 8)
+        (component,) = msg.components
+
+        def failures(bit):
+            payload = bytearray(msg.payload)
+            payload[bit // 8] ^= 0x80 >> bit % 8
+            flipped = [*msgs[:index], replace(msg, payload=bytes(payload)),
+                       *msgs[index + 1:]]
+            return run_reduce(inst, stores, flipped, strict=False).failures
+
+        for bit in range(msg.bit_length, 8 * len(msg.payload)):
+            assert failures(bit) == []
+        assert failures(msg.bit_length - 1)[0] == (
+            component.recipient, *list(component.pairs())[-1],
             "recovered IV differs from ground truth")
 
     @pytest.mark.parametrize("corrupt, reason", [
