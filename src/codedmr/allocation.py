@@ -109,8 +109,11 @@ def subbatch_fractions(
     Over the owner's denominator den(l_k) * prod_{i != k} den(P_i), an
     entry's numerator is top * prod_{i in Psi} num(P_i) // prod_{i in Psi}
     (den(P_i) - num(P_i)), where top = num(l_k) * prod_{i != k} (den(P_i) -
-    num(P_i)) is the empty subset's; the division is exact. Entries with
-    equal numerators share one Fraction, since many subsets repeat a value.
+    num(P_i)) is the empty subset's. Each subset's numerator comes from its
+    prefix's, num(Psi) = num(Psi[:-1]) * num(P_j) // (den(P_j) - num(P_j))
+    for its last node j; the prefix is a subset too, so the division is
+    exact. Entries with equal numerators share one Fraction, since many
+    subsets repeat a value.
     """
     K = len(l)
     surplus = [i for i in range(1, K + 1) if P[i - 1] > 0]
@@ -122,11 +125,13 @@ def subbatch_fractions(
         others = [i for i in surplus if i != k]
         den = l[k - 1].denominator * math.prod(P[i - 1].denominator for i in others)
         top = l[k - 1].numerator * math.prod(map(outside.__getitem__, others))
+        # numerator by subset; a prefix always comes before its extensions
+        nums: dict[tuple[int, ...], int] = {}
         values: dict[int, Fraction] = {}
         for size in range(len(others) + 1):
             for psi in combinations(others, size):
-                num = (top * math.prod(map(inside.__getitem__, psi))
-                       // math.prod(map(outside.__getitem__, psi)))
+                num = nums[psi] = (nums[psi[:-1]] * inside[psi[-1]] // outside[psi[-1]]
+                                   if psi else top)
                 value = values.get(num)
                 if value is None:
                     value = values[num] = Fraction(num, den)
@@ -186,7 +191,13 @@ def file_count_estimate(plan: AllocationPlan) -> Fraction:
 
 
 def format_factored(n: int) -> str:
-    """Prime-power rendering like "2^2 * 3 * 11^11" for large exact counts."""
+    """Prime-power rendering like "2^2 * 3 * 11^11" for large exact counts.
+
+    Trial division stops at 10^6. A cofactor left over is shown as a prime
+    only when no divisor up to its square root remains untried; otherwise
+    it is shown in full with an " (unfactored)" mark, since it may be
+    composite.
+    """
     if n <= 0:
         raise ValueError("expected a positive integer")
     if n == 1:
@@ -203,7 +214,7 @@ def format_factored(n: int) -> str:
             parts.append(f"{p}^{exp}" if exp > 1 else f"{p}")
         p += 1 if p == 2 else 2
     if rest > 1:
-        parts.append(str(rest))
+        parts.append(str(rest) if p * p > rest else f"{rest} (unfactored)")
     return " * ".join(parts)
 
 

@@ -195,8 +195,8 @@ def cmd_load(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    profile, plan, strategy, w = _configured(args)
-    instance, plan, report = simulator.simulate(
+    profile, _, strategy, w = _configured(args)
+    instance, _, report = simulator.simulate(
         profile, w, N=args.files, Q=args.functions, T=args.iv_bits,
         seed=args.seed, log_messages=bool(args.transcript))
     if args.transcript:
@@ -208,8 +208,8 @@ def cmd_simulate(args) -> dict:
         "strategy": strategy,
         "instance": {"N": instance.N, "Q": instance.Q, "T": instance.T,
                      "seed": instance.seed},
-        "analytic_load": format_both(
-            analytics.achievable_load(profile, plan, w).total, args.precision),
+        # simulate raises unless the measured load equals the analytic one
+        "analytic_load": format_both(report.measured_load, args.precision),
         "report": report.to_json(args.precision),
     }
 
@@ -412,22 +412,55 @@ def _render(value, pad: str = "\n") -> str:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = pad + "  "
     if isinstance(value, dict):
-        # encode_basestring_ascii raises TypeError naming a non-str key
-        items = [f"{encode_basestring_ascii(key)}: {_render(item, inner)}"
-                 for key, item in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = (map(int.__repr__, value) if set(map(type, value)) == {int}
-                 else [_render(item, inner) for item in value])
-        brackets = "[]"
-    else:
+        return _rows((value,), pad)[0]
+    if not isinstance(value, (list, tuple)):
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+        return "[]"
+    inner = pad + "  "
+    kinds = set(map(type, value))
+    items = (list(map(int.__repr__, value)) if kinds == {int}
+             else _rows(value, inner) if kinds == {dict}
+             else [_render(item, inner) for item in value])
+    # the brackets go on the end items, so one join builds the whole text
+    # and a long listing is not copied a second time to add them
+    items[0] = "[" + inner + items[0]
+    items[-1] += pad + "]"
+    return ("," + inner).join(items)
+
+
+def _rows(rows, pad: str) -> list[str]:
+    """Each dict of ``rows`` rendered at ``pad``, through one %-template per
+    run of rows with the same keys in the same order. Within the call, each
+    value of type exactly int or str, and each tuple of exactly-int items,
+    is rendered once; a bool is never a key, since ``False == 0`` and
+    ``(1, True) == (1, 1)``."""
+    inner = pad + "  "
+    texts: dict[tuple, str] = {}
+    keys = template = None
+    out = []
+    for row in rows:
+        if tuple(row) != keys:
+            keys = tuple(row)
+            # encode_basestring_ascii raises TypeError naming a non-str key
+            template = ("{" + inner + ("," + inner).join(
+                encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                for key in keys) + pad + "}") if keys else "{}"
+        values = []
+        for item in row.values():
+            kind = type(item)
+            if kind is int or kind is str or (
+                    kind is tuple and set(map(type, item)) == {int}):
+                text = texts.get((kind, item))
+                if text is None:
+                    text = texts[kind, item] = _render(item, inner)
+            else:
+                text = _render(item, inner)
+            values.append(text)
+        out.append(template % tuple(values))
+    return out
 
 
 COMMANDS = {
@@ -446,13 +479,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         output = COMMANDS[args.command](args)
-        if not isinstance(output, str):
-            output = _render(output) + "\n"
+        # the newline is written on its own, so plan's MBs are not copied
+        parts = (output,) if isinstance(output, str) else (_render(output), "\n")
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output)
+                fh.writelines(parts)
         else:
-            sys.stdout.write(output)
+            sys.stdout.writelines(parts)
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

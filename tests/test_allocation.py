@@ -225,6 +225,26 @@ class TestMinimalFileCount:
         assert format_factored(150) == "2 * 3 * 5^2"
         assert format_factored(1) == "1"
 
+    def test_cofactor_past_trial_division_is_marked_unfactored(self):
+        # trial division stops at 10^6, below both primes
+        assert format_factored(4 * 1000003 * 1000033) == \
+            "2^2 * 1000036000099 (unfactored)"
+        # a cofactor below the square of the last divisor tried is prime
+        assert format_factored(4 * 1000003) == "2^2 * 1000003"
+
+    def test_k20_fifty_digit_cofactor_is_marked_unfactored(self):
+        # the first twenty primes above 10^49 (Miller-Rabin, bases 2..71)
+        primes = [10 ** 49 + d for d in (
+            9, 69, 217, 451, 511, 813, 1113, 1443, 1477, 1533, 1701, 1881,
+            1891, 1983, 2023, 2049, 2073, 2089, 2401, 2581)]
+        plan = build_plan(validate_profile([Fraction(p // 2, p) for p in primes]))
+        head, _, last = format_factored(minimal_file_count(plan)).rpartition(" * ")
+        assert head == "2^2 * 5 * 19^19"
+        digits, mark = last.split(" ")
+        assert (len(digits), mark) == (981, "(unfactored)")
+        # composite: every one of the primes divides it
+        assert all(int(digits) % p == 0 for p in primes)
+
 
 class TestMaterialize:
     def test_two_node_partition(self):

@@ -553,12 +553,23 @@ class TestOutput:
 JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff'),
                               st.characters(blacklist_categories=())),
                     max_size=8)
+
+
+def same_key_rows(children):
+    """Lists of dicts with the same keys in the same order, the shape the
+    writer renders through one template per key tuple."""
+    return st.lists(JSON_TEXT, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, children)),
+                              min_size=1, max_size=4))
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
     | JSON_TEXT,
     lambda children: (st.lists(children, max_size=4)
                       | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(JSON_TEXT, children, max_size=4)),
+                      | st.dictionaries(JSON_TEXT, children, max_size=4)
+                      | same_key_rows(children)),
     max_leaves=20)
 
 
@@ -573,10 +584,39 @@ class TestWriter:
                       [None, 0], {"subset": (1, 2)}):
             assert cli._render(value) == json.dumps(value, indent=2)
 
+    @pytest.mark.parametrize("value", [
+        [{"s": (1, 1)}, {"s": (1, True)}],
+        [{"s": (1, True)}, {"s": (1, 1)}],
+        [{"a": 0}, {"a": False}, {"a": 1}, {"a": True}],
+        [{"%s": 1, "%": "%d", "{}": 2, "{0}": "{}", "\ud800": "\udfff"}] * 2,
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1, "b": 2}],
+        [{}, {}, {"a": 1}, {}],
+        [{"owner": 1, "subset": ()}, {"owner": 1, "subset": (2,)},
+         {"owner": 2, "subset": ()}, {"owner": 2, "subset": []}],
+        [{"a": {"b": [{"c": 1}, {"c": 1}]}}, {"a": {}}, {"a": {"b": None}}],
+    ], ids=["tuple-with-bool-second", "tuple-with-bool-first", "int-and-bool",
+            "format-characters-and-surrogates-in-keys", "key-order-changes",
+            "empty-rows", "empty-subsets", "nested-dicts"])
+    def test_rows_match_json_dumps(self, value):
+        assert cli._render(value) == json.dumps(value, indent=2)
+        assert cli._render({"rows": value}) == json.dumps({"rows": value}, indent=2)
+
+    def test_rows_render_each_repeated_value_once(self, monkeypatch):
+        rendered = collections.Counter()
+        render = cli._render
+        monkeypatch.setattr(cli, "_render", lambda value, pad="\n": rendered.update(
+            [repr(value)]) or render(value, pad))
+        rows = [{"owner": 1, "subset": (2, 3), "fraction": "1/8"},
+                {"owner": 2, "subset": (2, 3), "fraction": "1/8"}] * 50
+        assert cli._render(rows) == json.dumps(rows, indent=2)
+        assert rendered == {repr(rows): 1, "1": 1, "2": 1, "(2, 3)": 1, "'1/8'": 1}
+
     @pytest.mark.parametrize("value, name", [
         (1.5, "float"), (Fraction(1, 2), "Fraction"), ({1}, "set"),
         ([{"a": (1, 0.5)}], "float"), ({1: "a"}, "int"), ({None: 1}, "NoneType"),
-    ], ids=["float", "Fraction", "set", "nested-float", "int-key", "None-key"])
+        ([{"a": 1}, {1: "a"}], "int"), ([{"a": 1}, {None: 1}], "NoneType"),
+    ], ids=["float", "Fraction", "set", "nested-float", "int-key", "None-key",
+            "int-key-in-second-row", "None-key-in-second-row"])
     def test_other_types_raise_type_error_naming_them(self, value, name):
         with pytest.raises(TypeError, match=name):
             cli._render(value)
